@@ -114,37 +114,29 @@ def run_analytic(args, config):
         times = _time_grid(args.t_max, args.dt)
         cols = [_col("t", "analytic", "time, lambda=1 units")]
         series = []
+        statistics = "POISSON" if kind.endswith("-poisson") else "GUE"
+        curve = {
+            "chi": spectral.chi_curve,
+            "xi": spectral.xi_curve,
+            "rho": spectral.rho_curve,
+            "purity": spectral.purity_curve,
+        }[kind.removesuffix("-poisson")]
         if kind in ("chi", "xi", "chi-poisson", "xi-poisson"):
             ds = args.d or []
             if not ds:
                 raise ValueError(f"analytic {kind} requires --d")
-            fn = {
-                "chi": spectral.chi_mean,
-                "xi": spectral.xi_mean,
-                "chi-poisson": spectral.chi_poisson,
-                "xi-poisson": spectral.xi_poisson,
-            }[kind]
             for d in ds:
                 cols.append(_col(f"{kind.replace('-', '_')}_d{d}", "analytic"))
-                series.append([fn(d, t) for t in times])
-        elif kind in ("rho", "purity", "purity-poisson"):
+                series.append(curve(statistics, d, times))
+        else:
             for d_a, d_b in _pairs(args):
                 if kind == "rho":
-                    values = [spectral.rho_mean_coeffs(d_a, d_b, t) for t in times]
                     cols.append(_col(f"rho_p1_dA{d_a}_dB{d_b}", "analytic"))
                     cols.append(_col(f"rho_pmix_dA{d_a}_dB{d_b}", "analytic"))
-                    series.append([v[0] for v in values])
-                    series.append([v[1] for v in values])
+                    series.extend(curve(statistics, d_a, d_b, times))
                 else:
-                    fn = (
-                        spectral.purity_mean
-                        if kind == "purity"
-                        else spectral.purity_poisson
-                    )
                     cols.append(_col(f"{kind.replace('-', '_')}_dA{d_a}_dB{d_b}", "analytic"))
-                    series.append([fn(d_a, d_b, t) for t in times])
-        else:
-            raise ValueError(f"unknown analytic kind {kind!r}")
+                    series.append(curve(statistics, d_a, d_b, times))
         rows = [[t, *(s[i] for s in series)] for i, t in enumerate(times)]
     _write_output(
         args.out, args.format, cols, rows, _manifest("analytic", config, cols, time.time() - t0)
@@ -401,7 +393,7 @@ def _selfcheck_curves():
         poly = 12 - 48 * x + 46 * x**2 - 64 / 3 * x**3 + 25 / 6 * x**4 - x**5 / 3
         return poly * np.exp(-x) + 4
 
-    dev = max(abs(spectral.chi_mean(4, t) - chi4(t)) for t in ts)
+    dev = float(np.max(np.abs(spectral.chi_curve("GUE", 4, ts) - chi4(ts))))
     yield "d=4 <chi> closed form", dev <= 1e-9, f"max dev {dev:.2e} over t in [0,6]"
 
     def xi4(t):
@@ -419,18 +411,19 @@ def _selfcheck_curves():
             * np.exp(-4 * x)
         )
 
-    dev = max(abs(spectral.xi_mean(4, t) - xi4(t)) for t in ts)
+    dev = float(np.max(np.abs(spectral.xi_curve("GUE", 4, ts) - xi4(ts))))
     yield "d=4 <xi> closed form", dev <= 1e-9, f"max dev {dev:.2e} over t in [0,6]"
 
     dev = 0.0
     for d in range(4, 13):
+        chi0, chi10 = spectral.chi_curve("GUE", d, [0.0, 10.0])
+        xi0, xi10 = spectral.xi_curve("GUE", d, [0.0, 10.0])
         dev = max(
             dev,
-            abs(spectral.chi_mean(d, 0.0) - d * d),
-            abs(spectral.xi_mean(d, 0.0) - d * d * (d - 1) * (d + 3))
-            / (d * d * (d - 1) * (d + 3)),
-            abs(spectral.chi_mean(d, 10.0) - d),
-            abs(spectral.xi_mean(d, 10.0) - 2 * d * (d - 1)),
+            abs(chi0 - d * d),
+            abs(xi0 - d * d * (d - 1) * (d + 3)) / (d * d * (d - 1) * (d + 3)),
+            abs(chi10 - d),
+            abs(xi10 - 2 * d * (d - 1)),
         )
     yield "boundary values d=4..12", dev <= 1e-8, f"max dev {dev:.2e}"
 

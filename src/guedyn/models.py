@@ -422,22 +422,19 @@ class DynamicsTrace:
 
 def analytic_gue_trace(d_a: int, d_b: int, times) -> DynamicsTrace:
     """Closed-form averaged rho_A(t) for the Gaussian unitary ensemble."""
-    return _coeff_trace(d_a, times, [spectral.rho_mean_coeffs(d_a, d_b, t) for t in times])
+    return _coeff_trace("GUE", d_a, d_b, times)
 
 
 def analytic_poisson_trace(d_a: int, d_b: int, times) -> DynamicsTrace:
     """Closed-form averaged rho_A(t) for Poisson level statistics."""
-    return _coeff_trace(
-        d_a, times, [spectral.rho_poisson_coeffs(d_a, d_b, t) for t in times]
-    )
+    return _coeff_trace("POISSON", d_a, d_b, times)
 
 
-def _coeff_trace(d_a, times, coeffs) -> DynamicsTrace:
+def _coeff_trace(statistics, d_a, d_b, times) -> DynamicsTrace:
     times = np.asarray(times, dtype=float)
-    rho = np.zeros((times.size, d_a, d_a), dtype=complex)
-    for idx, (p1, pmix) in enumerate(coeffs):
-        rho[idx] = pmix * np.eye(d_a) / d_a
-        rho[idx, 0, 0] += p1
+    p1, pmix = spectral.rho_curve(statistics, d_a, d_b, times)
+    rho = (pmix[:, None, None] * np.eye(d_a) / d_a).astype(complex)
+    rho[:, 0, 0] += p1
     return DynamicsTrace(times, rho)
 
 

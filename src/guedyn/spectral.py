@@ -15,24 +15,34 @@ dimensions and times stay in range:
     F_{mu,nu}(t) = e^{-t^2/2} sqrt(min!/max!) (it)^{|mu-nu|}
                    L^{(|mu-nu|)}_{min}(t^2).
 
-All public functions take plain floats and return floats; complex
-intermediates are checked to be real before truncation.
+The time grid is the unit of work: each averaged quantity is one function
+of (statistics, dimensions, times) returning an array over the grid, and
+the Laguerre recurrence runs once per grid chunk, batched over t.  The
+scalar functions of one time point are thin wrappers over these curves.
+Every public return is checked to be finite; complex intermediates are
+checked to be real before truncation.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, j1
 
 from .errors import NumericalError
+from .symgroup import Permutation
 
 __all__ = [
+    "STATISTICS",
     "f_matrix",
     "trace_f",
     "correlator",
+    "chi_curve",
+    "xi_curve",
+    "rho_curve",
+    "purity_curve",
     "chi_mean",
     "xi_mean",
     "rho_mean_coeffs",
@@ -46,57 +56,120 @@ __all__ = [
     "find_extrema",
 ]
 
+# Level statistics of the averaged curves: the Gaussian unitary eigenvalue
+# gas, or uncorrelated (exponential-gap) energies.
+STATISTICS = ("GUE", "POISSON")
+
 # e^{-x/2} underflows past this point; F is flushed to the zero matrix and
 # every downstream formula returns its exact asymptotic constant.
 _UNDERFLOW_X = 1488.0
+
+# Upper bound on one (chunk, d, d) complex block of F stacks; the time grid
+# is processed in chunks of at most this size so memory stays bounded in d.
+_CHUNK_BYTES = 8 * 2**20
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
 @lru_cache(maxsize=64)
 def _index_tables(d: int):
+    """Per-dimension tables for F: with lo = min(mu, nu) and k = |mu - nu|,
+    the flat index of L^(k)_lo in a Laguerre table, k as float,
+    log sqrt(lo!/hi!), the phase i^k and the mask of odd k."""
     mu = np.arange(d)
     lo = np.minimum.outer(mu, mu)
     hi = np.maximum.outer(mu, mu)
     k = hi - lo
+    flat = lo * d + k
     log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
     phase = _I_POWERS[k % 4]
-    for arr in (lo, k, log_ratio, phase):
+    odd = k % 2 == 1
+    k = k.astype(float)
+    for arr in (flat, k, log_ratio, phase, odd):
         arr.setflags(write=False)
-    return lo, k, log_ratio, phase
+    return flat, k, log_ratio, phase, odd
 
 
-def _laguerre_table(d: int, x: float) -> np.ndarray:
-    """L[alpha, n] = L^(alpha)_n(x) for 0 <= alpha, n <= d-1 (recurrence)."""
+def _finite(values, what: str):
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"non-finite {what}")
+    return values
+
+
+def _grid(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a one-dimensional grid")
+    return times
+
+
+def _chunks(d: int, n_times: int):
+    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    for start in range(0, n_times, step):
+        yield slice(start, start + step)
+
+
+def _check_statistics(statistics: str) -> None:
+    if statistics not in STATISTICS:
+        raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
+
+
+def _laguerre_stack(d: int, x: np.ndarray) -> np.ndarray:
+    """L[i, n, alpha] = L^(alpha)_n(x_i) for n + alpha <= d-1; the other
+    entries are left unset.
+
+    The three-term recurrence in n runs once, each step an array operation
+    over (x, alpha).
+    """
     alpha = np.arange(d, dtype=float)
-    table = np.empty((d, d))
+    x = x[:, None]
+    table = np.empty((x.shape[0], d, d))
     table[:, 0] = 1.0
     if d > 1:
-        table[:, 1] = 1.0 + alpha - x
+        table[:, 1, : d - 1] = 1.0 + alpha[: d - 1] - x
     for n in range(2, d):
-        table[:, n] = (
-            (2 * n - 1 + alpha - x) * table[:, n - 1]
-            - (n - 1 + alpha) * table[:, n - 2]
+        m = d - n
+        a = alpha[:m]
+        table[:, n, :m] = (
+            (2 * n - 1 + a - x) * table[:, n - 1, :m]
+            - (n - 1 + a) * table[:, n - 2, :m]
         ) / n
     return table
 
 
-@lru_cache(maxsize=512)
-def _f_matrix_cached(d: int, t: float) -> np.ndarray:
-    if t == 0.0:
-        out = np.eye(d, dtype=complex)
-    else:
-        x = t * t
-        lo, k, log_ratio, phase = _index_tables(d)
-        if x > _UNDERFLOW_X:
-            out = np.zeros((d, d), dtype=complex)
-        else:
-            lag = _laguerre_table(d, x)[k, lo]
-            magnitude = np.exp(log_ratio + k * np.log(abs(t)) - 0.5 * x)
-            sign = np.where(k % 2 == 1, np.sign(t), 1.0)
-            out = phase * sign * magnitude * lag
-    out.setflags(write=False)
+def _g_stack(d: int, times: np.ndarray) -> np.ndarray:
+    """Real (T, d, d) stack G with F(t) = i^{|mu-nu|} G(t) entrywise.
+
+    G(0) is the identity and G is flushed to zero past _UNDERFLOW_X.  May
+    hold non-finite entries where the unscaled recurrence overflows; the
+    public returns check for them.
+    """
+    flat, k, log_ratio, _, odd = _index_tables(d)
+    x = times * times
+    out = np.zeros((times.size, d, d))
+    out[times == 0.0] = np.eye(d)
+    live = (times != 0.0) & (x <= _UNDERFLOW_X)
+    if not live.any():
+        return out
+    t, x = times[live], x[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = np.take(_laguerre_stack(d, x).reshape(t.size, d * d), flat, axis=1)
+        # e^{-x/2} sqrt(lo!/hi!) |t|^k, then times L^(k)_lo(x)
+        g = k * np.log(np.abs(t))[:, None, None]
+        g += log_ratio
+        g -= 0.5 * x[:, None, None]
+        np.exp(g, out=g)
+        g *= lag
+    # (it)^k = i^k |t|^k sign(t)^k
+    g[t < 0] *= np.where(odd, -1.0, 1.0)
+    out[live] = g
     return out
+
+
+def _f_stack(d: int, times: np.ndarray) -> np.ndarray:
+    """The complex (T, d, d) stack of F(t) over a grid chunk."""
+    with np.errstate(invalid="ignore"):
+        return _index_tables(d)[3] * _g_stack(d, times)
 
 
 def f_matrix(d: int, t: float) -> np.ndarray:
@@ -107,7 +180,7 @@ def f_matrix(d: int, t: float) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _f_matrix_cached(d, float(t))
+    return _finite(_f_stack(d, _grid([t]))[0], f"F({t}) at d={d}")
 
 
 def trace_f(d: int, t: float) -> float:
@@ -123,24 +196,8 @@ def trace_f(d: int, t: float) -> float:
     else:
         for n in range(2, d):
             prev, cur = cur, ((2 * n - x) * cur - n * prev) / n
-    return float(np.exp(-0.5 * x) * cur)
-
-
-def _cycles_of(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        j = perm[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(tuple(cyc))
-    return cycles
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(np.exp(-0.5 * x) * cur), f"Tr F({t}) at d={d}")
 
 
 def _canonical_loop(cs: tuple[int, ...]) -> tuple[int, ...]:
@@ -153,6 +210,73 @@ def _canonical_loop(cs: tuple[int, ...]) -> tuple[int, ...]:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+@lru_cache(maxsize=64)
+def _expansion(coeffs: tuple[int, ...]) -> tuple[tuple[float, tuple], ...]:
+    """Permutation expansion of a correlator: (sign, loop keys) per element of S_n."""
+    n = len(coeffs)
+    terms = []
+    for perm in Permutation.all_elements(n):
+        cycles = perm.cycles()
+        sign = -1.0 if (n - len(cycles)) % 2 else 1.0
+        loops = tuple(_canonical_loop(tuple(coeffs[j - 1] for j in cyc)) for cyc in cycles)
+        terms.append((sign, loops))
+    return tuple(terms)
+
+
+def _loop_traces(keys, mats) -> dict:
+    """Real traces over the chunk of the ordered products F(c_1 t) F(c_2 t) ...
+
+    Products are formed left to right; those that prefix a longer loop are
+    kept for reuse within the chunk.
+    """
+    shared = {key[:i] for key in keys for i in range(2, len(key))}
+    products = {}
+    traces = {}
+    for key in sorted(keys, key=len):
+        prod = mats[key[0]]
+        for i in range(2, len(key) + 1):
+            if key[:i] in products:
+                prod = products[key[:i]]
+                continue
+            prod = prod @ mats[key[i - 1]]
+            if key[:i] in shared:
+                products[key[:i]] = prod
+        tr = np.trace(prod, axis1=1, axis2=2)
+        if np.any(np.abs(tr.imag) > 1e-10 * np.maximum(1.0, np.abs(tr.real))):
+            raise NumericalError(f"non-real loop trace for {key}")
+        traces[key] = tr.real
+    return traces
+
+
+def _correlators(coeff_sets, d: int, times: np.ndarray) -> list[np.ndarray]:
+    """Prefactored correlators (see :func:`correlator`) over a time grid.
+
+    Each coefficient tuple's permutation expansion is formed once; every
+    chunk builds F(|c| t) once per distinct |c| (F(-ct) is its conjugate)
+    and shares loop traces between the tuples.
+    """
+    expansions = [_expansion(coeffs) for coeffs in coeff_sets]
+    keys = {key for terms in expansions for _, loops in terms for key in loops}
+    coeffs = {c for key in keys for c in key}
+    out = [np.empty(times.size) for _ in coeff_sets]
+    for sl in _chunks(d, times.size):
+        stacks = {
+            s: _finite(_f_stack(d, s * times[sl]), f"F at d={d}")
+            for s in {abs(c) for c in coeffs}
+        }
+        mats = {c: stacks[c] if c > 0 else stacks[-c].conj() for c in coeffs}
+        traces = _loop_traces(keys, mats)
+        for total, terms in zip(out, expansions):
+            acc = 0.0
+            for sign, loops in terms:
+                term = sign
+                for key in loops:
+                    term = term * traces[key]
+                acc = acc + term
+            total[sl] = acc
+    return out
 
 
 def correlator(coeffs, d: int, t: float) -> float:
@@ -170,65 +294,74 @@ def correlator(coeffs, d: int, t: float) -> float:
         raise ValueError("coefficients must be nonzero integers")
     if n > d:
         raise ValueError(f"need n <= d, got n={n}, d={d}")
-    mats = {c: f_matrix(d, c * t) for c in set(coeffs)}
-
-    trace_cache: dict[tuple[int, ...], float] = {}
-
-    def loop_trace(cyc: tuple[int, ...]) -> float:
-        key = _canonical_loop(tuple(coeffs[j] for j in cyc))
-        if key not in trace_cache:
-            prod = mats[key[0]]
-            for c in key[1:]:
-                prod = prod @ mats[c]
-            tr = complex(np.trace(prod))
-            if abs(tr.imag) > 1e-10 * max(1.0, abs(tr.real)):
-                raise NumericalError(f"non-real loop trace {tr} for {key}")
-            trace_cache[key] = tr.real
-        return trace_cache[key]
-
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        cycles = _cycles_of(perm)
-        sign = -1 if (n - len(cycles)) % 2 else 1
-        term = float(sign)
-        for cyc in cycles:
-            term *= loop_trace(cyc)
-        total += term
-    return total
+    (value,) = _correlators([coeffs], d, _grid([t]))
+    return float(_finite(value, f"correlator {coeffs} at d={d}, t={t}")[0])
 
 
-def chi_mean(d: int, t: float) -> float:
-    """Ensemble average of chi(t) = |iota(t)|^2 over eigenvalue statistics:
+def chi_curve(statistics: str, d: int, times) -> np.ndarray:
+    """Ensemble average of chi(t) = |iota(t)|^2 over a time grid.
 
-        <chi(t)> = d(d-1) <e^{i(E1-E2)t}> + d
-                 = (Tr F(t))^2 - Tr[F(t)F(-t)] + d.
+    GUE:      <chi(t)> = d(d-1) <e^{i(E1-E2)t}> + d
+                       = (Tr F)^2 - Tr[F(t) F(-t)] + d
+                       = (Tr F)^2 - sum_ij |F_ij|^2 + d,
+    exact because F is symmetric and F(-t) = conj F(t); O(d^2) per time.
+
+    POISSON:  d + d(d-1) / ((d+1) t^2 + 1), uncorrelated energies with the
+    gap scale matched to the Gaussian ensemble second moment.
     """
+    _check_statistics(statistics)
     if d < 2:
         raise ValueError("d must be >= 2")
-    return correlator((1, -1), d, t) + d
+    times = _grid(times)
+    if statistics == "POISSON":
+        out = d + d * (d - 1) / ((d + 1) * times * times + 1)
+    else:
+        out = np.empty(times.size)
+        for sl in _chunks(d, times.size):
+            g = _g_stack(d, times[sl])
+            with np.errstate(over="ignore", invalid="ignore"):
+                tr = np.trace(g, axis1=1, axis2=2)
+                out[sl] = tr * tr - np.einsum("tij,tij->t", g, g) + d
+    return _finite(out, f"<chi> at d={d}")
 
 
-def xi_mean(d: int, t: float) -> float:
-    """Ensemble average of the purity phase sum xi(t).
+def xi_curve(statistics: str, d: int, times) -> np.ndarray:
+    """Ensemble average of the purity phase sum xi(t) over a time grid.
 
-    Decomposes into the two-point correlator at t and 2t, both three-point
-    correlators, the four-point correlator and a constant:
+    GUE: decomposes into the two-point correlator at t and 2t, both
+    three-point correlators, the four-point correlator and a constant:
     4 C2(2t) + 2 C3(2,-1,-1) + 2 C3(1,1,-2) + C4(1,1,-1,-1)
     + 4(d-1) C2(t) + 2d(d-1).  At t = 0 this is d^2 (d-1)(d+3); the late
     time value is 2d(d-1).
+
+    POISSON: uncorrelated energies with mu^2 = 1/(d+1).
     """
+    _check_statistics(statistics)
     if d < 4:
         raise ValueError("d must be >= 4 (four-point correlator)")
-    c2_t = correlator((1, -1), d, t)
-    c2_2t = correlator((1, -1), d, 2 * t)
-    c3_a = correlator((2, -1, -1), d, t)
-    c3_b = correlator((1, 1, -2), d, t)
-    c4 = correlator((1, 1, -1, -1), d, t)
-    return 4 * c2_2t + 2 * c3_a + 2 * c3_b + c4 + 4 * (d - 1) * c2_t + 2 * d * (d - 1)
+    times = _grid(times)
+    if statistics == "POISSON":
+        m2 = 1.0 / (d + 1)
+        t2 = times * times
+        p3 = d * (d - 1) * (d - 2)
+        p4 = p3 * (d - 3)
+        out = (
+            4 * d * (d - 1) * m2 / (m2 + 4 * t2)
+            + 4 * p3 * m2 * m2 * (m2 + 3 * t2) / ((m2 + t2) ** 2 * (m2 + 4 * t2))
+            + p4 * (m2 / (m2 + t2)) ** 2
+            + 4 * d * (d - 1) ** 2 * m2 / (m2 + t2)
+            + 2 * d * (d - 1)
+        )
+    else:
+        c2_t, c2_2t, c3_a, c3_b, c4 = _correlators(
+            [(1, -1), (2, -2), (2, -1, -1), (1, 1, -2), (1, 1, -1, -1)], d, times
+        )
+        out = 4 * c2_2t + 2 * c3_a + 2 * c3_b + c4 + 4 * (d - 1) * c2_t + 2 * d * (d - 1)
+    return _finite(out, f"<xi> at d={d}")
 
 
-def rho_mean_coeffs(d_A: int, d_B: int, t: float) -> tuple[float, float]:
-    """Coefficients of the fully averaged density matrix:
+def rho_curve(statistics: str, d_A: int, d_B: int, times) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the fully averaged density matrix over a time grid:
 
         <<rho_A>> = p1 |1_A><1_A| + pmix 1_A/d_A,
         p1 = (<chi> - 1)/(d^2 - 1),  pmix = (d^2 - <chi>)/(d^2 - 1).
@@ -236,24 +369,68 @@ def rho_mean_coeffs(d_A: int, d_B: int, t: float) -> tuple[float, float]:
     d = d_A * d_B
     if d < 2:
         raise ValueError("d_A * d_B must be >= 2")
-    chi = chi_mean(d, t)
+    chi = chi_curve(statistics, d, times)
     return (chi - 1) / (d * d - 1), (d * d - chi) / (d * d - 1)
 
 
-def purity_mean(d_A: int, d_B: int, t: float) -> float:
-    """Fully averaged subsystem purity <<gamma(t)>>.
+def purity_curve(statistics: str, d_A: int, d_B: int, times) -> np.ndarray:
+    """Fully averaged subsystem purity <<gamma(t)>> over a time grid.
 
     A trivial subsystem or bath stays exactly pure; otherwise the purity
     arbiter <xi>/(d^2(d-1)(d+3)) interpolates between 1 and the late-time
     constant.
     """
+    _check_statistics(statistics)
     if d_A < 1 or d_B < 1:
         raise ValueError("dimensions must be >= 1")
+    times = _grid(times)
     if d_A == 1 or d_B == 1:
-        return 1.0
+        return np.ones(times.size)
     d = d_A * d_B
     frac = (d_A + d_B) / (d + 1)
-    return xi_mean(d, t) / (d * d * (d - 1) * (d + 3)) * (1 - frac) + frac
+    return xi_curve(statistics, d, times) / (d * d * (d - 1) * (d + 3)) * (1 - frac) + frac
+
+
+def chi_mean(d: int, t: float) -> float:
+    """<chi(t)> for GUE statistics at one time; see :func:`chi_curve`."""
+    return float(chi_curve("GUE", d, [t])[0])
+
+
+def xi_mean(d: int, t: float) -> float:
+    """<xi(t)> for GUE statistics at one time; see :func:`xi_curve`."""
+    return float(xi_curve("GUE", d, [t])[0])
+
+
+def rho_mean_coeffs(d_A: int, d_B: int, t: float) -> tuple[float, float]:
+    """(p1, pmix) for GUE statistics at one time; see :func:`rho_curve`."""
+    p1, pmix = rho_curve("GUE", d_A, d_B, [t])
+    return float(p1[0]), float(pmix[0])
+
+
+def purity_mean(d_A: int, d_B: int, t: float) -> float:
+    """Averaged purity for GUE statistics at one time; see :func:`purity_curve`."""
+    return float(purity_curve("GUE", d_A, d_B, [t])[0])
+
+
+def chi_poisson(d: int, t: float) -> float:
+    """<chi(t)> for Poisson statistics at one time; see :func:`chi_curve`."""
+    return float(chi_curve("POISSON", d, [t])[0])
+
+
+def xi_poisson(d: int, t: float) -> float:
+    """<xi(t)> for Poisson statistics at one time; see :func:`xi_curve`."""
+    return float(xi_curve("POISSON", d, [t])[0])
+
+
+def rho_poisson_coeffs(d_A: int, d_B: int, t: float) -> tuple[float, float]:
+    """(p1, pmix) for Poisson statistics at one time; see :func:`rho_curve`."""
+    p1, pmix = rho_curve("POISSON", d_A, d_B, [t])
+    return float(p1[0]), float(pmix[0])
+
+
+def purity_poisson(d_A: int, d_B: int, t: float) -> float:
+    """Averaged purity for Poisson statistics at one time; see :func:`purity_curve`."""
+    return float(purity_curve("POISSON", d_A, d_B, [t])[0])
 
 
 def purity_limit(d_A: int, d_B: int) -> float:
@@ -269,55 +446,6 @@ def purity_limit(d_A: int, d_B: int) -> float:
     return 2 / (d * (d + 3)) * (1 - frac) + frac
 
 
-def chi_poisson(d: int, t: float) -> float:
-    """<chi(t)> for uncorrelated (exponential-gap) energies:
-
-        d + d(d-1) / ((d+1) t^2 + 1),
-
-    with the gap scale matched to the Gaussian ensemble second moment.
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    return d + d * (d - 1) / ((d + 1) * t * t + 1)
-
-
-def xi_poisson(d: int, t: float) -> float:
-    """<xi(t)> for uncorrelated energies with mu^2 = 1/(d+1)."""
-    if d < 4:
-        raise ValueError("d must be >= 4")
-    m2 = 1.0 / (d + 1)
-    t2 = t * t
-    p3 = d * (d - 1) * (d - 2)
-    p4 = p3 * (d - 3)
-    return (
-        4 * d * (d - 1) * m2 / (m2 + 4 * t2)
-        + 4 * p3 * m2 * m2 * (m2 + 3 * t2) / ((m2 + t2) ** 2 * (m2 + 4 * t2))
-        + p4 * (m2 / (m2 + t2)) ** 2
-        + 4 * d * (d - 1) ** 2 * m2 / (m2 + t2)
-        + 2 * d * (d - 1)
-    )
-
-
-def rho_poisson_coeffs(d_A: int, d_B: int, t: float) -> tuple[float, float]:
-    """Poisson-statistics analogue of :func:`rho_mean_coeffs`."""
-    d = d_A * d_B
-    if d < 2:
-        raise ValueError("d_A * d_B must be >= 2")
-    chi = chi_poisson(d, t)
-    return (chi - 1) / (d * d - 1), (d * d - chi) / (d * d - 1)
-
-
-def purity_poisson(d_A: int, d_B: int, t: float) -> float:
-    """Poisson-statistics analogue of :func:`purity_mean`."""
-    if d_A < 1 or d_B < 1:
-        raise ValueError("dimensions must be >= 1")
-    if d_A == 1 or d_B == 1:
-        return 1.0
-    d = d_A * d_B
-    frac = (d_A + d_B) / (d + 1)
-    return xi_poisson(d, t) / (d * d * (d - 1) * (d + 3)) * (1 - frac) + frac
-
-
 def bessel_limit(tau: float, power: int = 2) -> float:
     """Large-dimension scaling limit (J_1(2 tau)/tau)^power, power in {2, 4}.
 
@@ -331,27 +459,49 @@ def bessel_limit(tau: float, power: int = 2) -> float:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         return 1.0
-    return float((j1(2 * tau) / tau) ** power)
+    return _finite(float((j1(2 * tau) / tau) ** power), f"Bessel limit at tau={tau}")
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for a minimum of f bracketed in [a, b]."""
+    c, e = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fe = f(c), f(e)
+    while b - a > tol:
+        if fc <= fe:
+            b, e, fe = e, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INV_PHI * (b - a)
+            fe = f(e)
+    return (c, fc) if fc <= fe else (e, fe)
 
 
 def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     """Interior extrema of a smooth curve on (0, t_max].
 
-    Dense sampling locates slope sign changes, which are refined by
-    bisection on a central-difference derivative to |dt| <= tol.  The
-    boundary maximum at t = 0 is excluded.  Returns [(t, value), ...].
+    Dense sampling locates slope sign changes; each bracketed extremum is
+    refined by golden-section search on the values (on -fn for maxima)
+    until the bracket is narrower than tol.  The boundary maximum at t = 0
+    is excluded.  Returns [(t, value), ...].
+
+    Only values are compared, so the position is resolved to about
+    max(tol, sqrt(2 delta / |f''|)), where delta is the absolute error of
+    fn's values; the returned value is then accurate to about delta.  For
+    the first minimum of <chi> the position is within 3e-9 of the d = 4
+    closed form (value within 1e-15) and within 5e-9 of a 40-digit
+    reference at d = 60.
     """
     if t_max <= 0 or step <= 0:
         raise ValueError("t_max and step must be positive")
     ts = np.arange(0.0, t_max + 0.5 * step, step)
-    fs = np.array([fn(t) for t in ts])
+    fs = _finite(np.array([fn(t) for t in ts]), "curve value in extremum scan")
     diffs = np.diff(fs)
     scale = max(1.0, float(np.max(np.abs(fs))))
-
-    h = 1e-6
-
-    def deriv(t: float) -> float:
-        return (fn(t + h) - fn(t - h)) / (2 * h)
 
     out = []
     for i in range(len(diffs) - 1):
@@ -359,21 +509,7 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
             continue
         if max(abs(diffs[i]), abs(diffs[i + 1])) < 1e-12 * scale:
             continue  # flat-tail roundoff ripple, not a feature
-        lo, hi = ts[i], ts[i + 2]
-        g_lo = deriv(lo)
-        if g_lo == 0.0:
-            lo_t = lo
-        else:
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                g_mid = deriv(mid)
-                if g_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (g_mid > 0) == (g_lo > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            lo_t = 0.5 * (lo + hi)
-        out.append((float(lo_t), float(fn(lo_t))))
+        sign = 1.0 if diffs[i] < 0 else -1.0  # minimum, or maximum of fn
+        t, value = _golden_min(lambda s: sign * fn(s), ts[i], ts[i + 2], tol)
+        out.append((float(t), float(_finite(sign * value, f"curve value at t={t}"))))
     return out

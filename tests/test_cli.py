@@ -68,6 +68,14 @@ class TestAnalytic:
         assert code == 2
         assert not os.path.exists(out)
 
+    def test_non_finite_curve_is_numerical_error(self, tmp_path):
+        # the unscaled Laguerre recurrence overflows at d = 400, t = 38
+        out = str(tmp_path / "chi.csv")
+        code = main(["analytic", "chi", "--d", "400", "--t-max", "38",
+                     "--dt", "1", "--out", out])
+        assert code == 3
+        assert not os.path.exists(out)
+
     def test_missing_d_is_argument_error(self, tmp_path):
         assert main(["analytic", "chi", "--t-max", "1", "--dt", "0.5",
                      "--out", str(tmp_path / "x.csv")]) == 2

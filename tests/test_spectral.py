@@ -4,24 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.hermite_e import hermevander
 from scipy.special import eval_genlaguerre
 
+from guedyn import spectral
+from guedyn.errors import NumericalError
 from guedyn.sim import sample_gue, RngStream
 from guedyn.spectral import (
     bessel_limit,
+    chi_curve,
     chi_mean,
     chi_poisson,
     correlator,
     f_matrix,
     find_extrema,
+    purity_curve,
     purity_limit,
     purity_mean,
     purity_poisson,
+    rho_curve,
     rho_mean_coeffs,
     rho_poisson_coeffs,
     trace_f,
+    xi_curve,
     xi_mean,
     xi_poisson,
 )
@@ -368,3 +377,118 @@ class TestExtrema:
         extrema = find_extrema(lambda t: chi_mean(6, t), 2.0)
         fit = 1.93 / math.sqrt(6 + 0.45)
         assert abs(extrema[0][0] - fit) <= 0.05 * fit
+
+
+# Grid with t = 0, both signs, a point past the underflow flush and
+# irregular spacing.
+GRID_POINTS = np.array([0.0, 0.013, 0.31, -0.77, 1.0, 2.45, 3.9, -5.2, 6.0, 40.0])
+
+
+class TestGrid:
+    @pytest.mark.parametrize("d", [2, 7, 30])
+    def test_chi_equals_scalar_wrappers(self, d):
+        gue, poi = chi_curve("GUE", d, GRID_POINTS), chi_curve("POISSON", d, GRID_POINTS)
+        for i, t in enumerate(GRID_POINTS):
+            assert gue[i] == chi_mean(d, t)
+            assert poi[i] == chi_poisson(d, t)
+
+    @pytest.mark.parametrize("d", [4, 9])
+    def test_xi_equals_scalar_wrappers(self, d):
+        gue, poi = xi_curve("GUE", d, GRID_POINTS), xi_curve("POISSON", d, GRID_POINTS)
+        for i, t in enumerate(GRID_POINTS):
+            assert gue[i] == xi_mean(d, t)
+            assert poi[i] == xi_poisson(d, t)
+
+    @pytest.mark.parametrize("d_a,d_b", [(1, 5), (2, 2), (2, 3)])
+    def test_rho_and_purity_equal_scalar_wrappers(self, d_a, d_b):
+        p1, pmix = rho_curve("GUE", d_a, d_b, GRID_POINTS)
+        q1, qmix = rho_curve("POISSON", d_a, d_b, GRID_POINTS)
+        pur = purity_curve("GUE", d_a, d_b, GRID_POINTS)
+        pur_poi = purity_curve("POISSON", d_a, d_b, GRID_POINTS)
+        for i, t in enumerate(GRID_POINTS):
+            assert (p1[i], pmix[i]) == rho_mean_coeffs(d_a, d_b, t)
+            assert (q1[i], qmix[i]) == rho_poisson_coeffs(d_a, d_b, t)
+            assert pur[i] == purity_mean(d_a, d_b, t)
+            assert pur_poi[i] == purity_poisson(d_a, d_b, t)
+
+    def test_bit_identical_across_chunk_sizes(self, monkeypatch):
+        ts = np.arange(0.0, 6.0001, 0.05)
+        d_chi, d_xi = 40, 9
+        results = []
+        # times per chunk (chi, xi): (1, 1), (1, 7), (7, all), (all, all)
+        for chunk_bytes in (1, 7 * 16 * d_xi * d_xi, 7 * 16 * d_chi * d_chi,
+                            spectral._CHUNK_BYTES):
+            monkeypatch.setattr(spectral, "_CHUNK_BYTES", chunk_bytes)
+            results.append((chi_curve("GUE", d_chi, ts), xi_curve("GUE", d_xi, ts)))
+        for chi, xi in results[1:]:
+            assert np.array_equal(chi, results[0][0])
+            assert np.array_equal(xi, results[0][1])
+
+    @pytest.mark.parametrize("d", [60, 150])
+    def test_chi_agrees_with_matmul_correlator(self, d):
+        ts = np.linspace(0.05, 6.0, 24)
+        chi = chi_curve("GUE", d, ts)
+        for i, t in enumerate(ts):
+            want = correlator((1, -1), d, t) + d
+            assert abs(chi[i] - want) <= 1e-12 * abs(want)
+
+    def test_statistics_validated(self):
+        with pytest.raises(ValueError):
+            chi_curve("GOE", 4, GRID_POINTS)
+        with pytest.raises(ValueError):
+            purity_curve("gue", 2, 2, GRID_POINTS)
+
+    def test_non_finite_raises(self):
+        # the unscaled Laguerre recurrence overflows at d = 400, t = 38
+        with pytest.raises(NumericalError):
+            chi_mean(400, 38.0)
+        with pytest.raises(NumericalError):
+            f_matrix(400, 38.0)
+        with pytest.raises(NumericalError):
+            correlator((1, -1), 400, 38.0)
+        with pytest.raises(NumericalError):
+            trace_f(400, 38.0)
+        assert chi_mean(300, 38.0) == pytest.approx(300.0)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 40), t=st.floats(-8.0, 8.0))
+    def test_f_symmetric_and_time_reversal(self, d, t):
+        mat = f_matrix(d, t)
+        assert np.array_equal(mat, mat.T)
+        assert np.array_equal(f_matrix(d, -t), mat.conj())
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 60), t=st.floats(0.0, 12.0))
+    def test_chi_bounds(self, d, t):
+        chi = chi_mean(d, t)
+        assert -1e-12 * d * d <= chi <= d * d * (1 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d_a=st.integers(1, 6), d_b=st.integers(1, 6), t=st.floats(0.0, 12.0))
+    def test_purity_bounds(self, d_a, d_b, t):
+        purity = purity_mean(d_a, d_b, t)
+        assert 1 / min(d_a, d_b) - 1e-12 <= purity <= 1 + 1e-12
+
+
+class TestExtremaRefinement:
+    def test_d4_first_minimum_against_closed_form(self):
+        # chi4 = P(x) e^{-x} + 4 with x = t^2: extrema where P'(x) = P(x)
+        poly = Polynomial([12, -48, 46, -64 / 3, 25 / 6, -1 / 3])
+        roots = (poly.deriv() - poly).roots()
+        x_min = min(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
+        t_want = math.sqrt(x_min)
+        (t_min, value), = find_extrema(lambda t: chi_mean(4, t), 6.0)
+        # the resolution stated in find_extrema's docstring
+        assert abs(t_min - t_want) <= 3e-9
+        assert abs(value - chi4_closed(t_want)) <= 1e-14
+
+    def test_minimum_and_maximum_of_cosine(self):
+        (t_lo, v_lo), (t_hi, v_hi) = find_extrema(math.cos, 7.0)
+        assert abs(t_lo - math.pi) <= 1e-7 and v_lo == pytest.approx(-1.0, abs=1e-15)
+        assert abs(t_hi - 2 * math.pi) <= 1e-7 and v_hi == pytest.approx(1.0, abs=1e-15)
+
+    def test_non_finite_curve_raises(self):
+        with pytest.raises(NumericalError):
+            find_extrema(lambda t: math.nan if t > 0.5 else t, 1.0)
