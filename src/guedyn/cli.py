@@ -145,13 +145,16 @@ def run_analytic(args, config):
     return 0
 
 
-def _model_spec(args):
-    couplings = {
+def _couplings(args):
+    return {
         name: getattr(args, name)
-        for name in ("J", "B", "J1", "J2", "J3")
+        for name in _COUPLING_FLAGS
         if getattr(args, name) is not None
     }
-    return models.ModelSpec(args.model, args.dA_single, args.dB_single, couplings)
+
+
+def _model_spec(args):
+    return models.ModelSpec(args.model, args.dA_single, args.dB_single, _couplings(args))
 
 
 def run_montecarlo(args, config):
@@ -238,11 +241,7 @@ def run_distance(args, config):
     times = _time_grid(6.0, args.dt)
     an_gue = models.analytic_gue_trace(d_a, d_b, times)
     an_poi = models.analytic_poisson_trace(d_a, d_b, times)
-    couplings = {
-        name: getattr(args, name)
-        for name in ("J", "B", "J1", "J2", "J3")
-        if getattr(args, name) is not None
-    }
+    couplings = _couplings(args)
 
     ordered = ["GUE", "POISSON"] + [f for f in requested if f not in ("GUE", "POISSON")]
     traces = {}

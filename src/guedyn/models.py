@@ -12,14 +12,20 @@ the first ``s_a`` spins form subsystem A, which for the central-spin model
 are exactly the central spins.
 
 Internally every term is a Pauli string in the symplectic representation
-``i^k X^x Z^z`` (bit masks over sites), so Hamiltonian assembly is exact
-integer phase bookkeeping; Hermiticity holds to machine precision.
+``i^k X^x Z^z`` (bit masks over sites; Aaronson & Gottesman,
+quant-ph/0406196), so phases are exact integer bookkeeping.  Each family
+and size has one fixed table of its strings, built once per process; a
+sample only draws the real coefficient vector.  Assembly sums the
+coefficients per (x, z), takes a Walsh-Hadamard transform over z for each
+distinct x and writes each x group with one indexed store, so H is
+exactly Hermitian.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, log2
 
 import numpy as np
@@ -28,6 +34,7 @@ from . import spectral
 from .sim import (
     MCResult,
     RngStream,
+    _check_counts,
     mc_average,
     sample_gue,
     sample_haar_unitary,
@@ -74,18 +81,63 @@ class PauliString:
         k = (self.k + other.k + 2 * (self.z & other.x).bit_count()) % 4
         return PauliString(self.x ^ other.x, self.z ^ other.z, k)
 
-    def add_into(self, ham: np.ndarray, coeff: complex) -> None:
-        """Accumulate coeff * string into a dense matrix in place."""
-        n = ham.shape[0]
-        cols = np.arange(n)
-        rows = cols ^ self.x
-        parity = np.bitwise_count(cols & self.z) & 1
-        ham[rows, cols] += coeff * (1j**self.k) * (1.0 - 2.0 * parity)
-
     def matrix(self, s: int) -> np.ndarray:
-        out = np.zeros((1 << s, 1 << s), dtype=complex)
-        self.add_into(out, 1.0)
-        return out
+        return _PauliTable.from_strings(s, [self]).matrix(np.ones(1))
+
+
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@dataclass(frozen=True)
+class _PauliTable:
+    """Fixed Pauli strings of one ensemble and size, in term order.
+
+    Term t is ``phase[t] * X^xs[group[t]] Z^z[t]``, with ``xs`` the distinct
+    x masks.  A Hamiltonian is the table contracted with one real
+    coefficient per term.
+    """
+
+    n_spins: int
+    xs: np.ndarray
+    group: np.ndarray
+    z: np.ndarray
+    phase: np.ndarray
+
+    @classmethod
+    def from_strings(cls, s: int, strings) -> "_PauliTable":
+        xs, group = np.unique([p.x for p in strings], return_inverse=True)
+        z = np.array([p.z for p in strings], dtype=np.int64)
+        phase = _I_POWERS[[p.k for p in strings]]
+        for arr in (xs, group, z, phase):
+            arr.flags.writeable = False
+        return cls(s, xs, group, z, phase)
+
+    def matrix(self, coeffs) -> np.ndarray:
+        """Dense sum_t coeffs[t] * term t."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != self.z.shape:
+            raise ValueError(f"expected {self.z.size} coefficients, got {coeffs.shape}")
+        d = 1 << self.n_spins
+        n_groups = self.xs.size
+        # w[g, z]: summed coefficient of X^xs[g] Z^z.  A Walsh-Hadamard
+        # transform over z turns it into the diagonal of Z^z-sums,
+        # w[g, c] = sum_z w[g, z] (-1)^{|c & z|}, which X^xs[g] moves to row
+        # c ^ xs[g] of column c.
+        w = np.zeros((n_groups, d), dtype=complex)
+        np.add.at(w, (self.group, self.z), coeffs * self.phase)
+        half = 1
+        while half < d:
+            pairs = w.reshape(n_groups, -1, 2, half)
+            lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+            # Both halves come from the old values (no in-place update), so
+            # H[c ^ x, c] and H[c, c ^ x] are the same sums up to exact sign
+            # flips: H is exactly Hermitian.
+            lo[...], hi[...] = lo + hi, lo - hi
+            half *= 2
+        cols = np.arange(d)
+        ham = np.zeros((d, d), dtype=complex)
+        ham[cols ^ self.xs[:, None], cols] = w
+        return ham
 
 
 def _pauli(s: int, site: int, axis: int) -> PauliString:
@@ -105,14 +157,6 @@ def _string(s: int, factors) -> PauliString:
     for site, axis in factors:
         out = out * _pauli(s, site, axis)
     return out
-
-
-def _assemble(s: int, terms) -> np.ndarray:
-    ham = np.zeros((1 << s, 1 << s), dtype=complex)
-    for coeff, factors in terms:
-        if coeff != 0.0:
-            _string(s, factors).add_into(ham, coeff)
-    return ham
 
 
 def _majorana_strings(s: int) -> list[PauliString]:
@@ -140,23 +184,67 @@ def jordan_wigner_majoranas(s: int) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Term tables, one per family structure and size, built once per process.
+# ---------------------------------------------------------------------------
+
+_AXES = (1, 2, 3)
+
+
+@lru_cache(maxsize=None)
+def _chain_table(s: int, n_bond_blocks: int) -> _PauliTable:
+    """Periodic chain: per site j, ``n_bond_blocks`` copies of the nine bonds
+    sigma^a_j sigma^b_{j+1} (a-major), then the three fields sigma^a_j."""
+    strings = []
+    for j in range(s):
+        nxt = (j + 1) % s
+        bonds = [_string(s, [(j, a), (nxt, b)]) for a in _AXES for b in _AXES]
+        strings += bonds * n_bond_blocks
+        strings += [_pauli(s, j, a) for a in _AXES]
+    return _PauliTable.from_strings(s, strings)
+
+
+@lru_cache(maxsize=None)
+def _cs_table(s_a: int, s_b: int) -> _PauliTable:
+    """Central spin: Z_j fields, then sigma^a_j sigma^a_k inside the central
+    block, then sigma^a_j sigma^a_{s_a+k} to the bath, each (j, k, a)-major."""
+    s = s_a + s_b
+    strings = [_pauli(s, j, 3) for j in range(s_a)]
+    strings += [
+        _string(s, [(j, a), (k, a)]) for j in range(s_a) for k in range(s_a) for a in _AXES
+    ]
+    strings += [
+        _string(s, [(j, a), (s_a + k, a)])
+        for j in range(s_a)
+        for k in range(s_b)
+        for a in _AXES
+    ]
+    return _PauliTable.from_strings(s, strings)
+
+
+@lru_cache(maxsize=None)
+def _syk_table(s: int) -> _PauliTable:
+    """f_i f_j f_k f_l over 4-subsets of the 2s modes, lexicographic."""
+    modes = _majorana_strings(s)
+    strings = [
+        modes[i] * modes[j] * modes[k] * modes[l]
+        for i, j, k, l in itertools.combinations(range(2 * s), 4)
+    ]
+    return _PauliTable.from_strings(s, strings)
+
+
+# ---------------------------------------------------------------------------
 # Hamiltonian builders.  Each takes its random inputs explicitly so tests
 # can pin them; build_model draws them from a stream in a fixed order.
+# Each only lays out the coefficients of its table's terms.
 # ---------------------------------------------------------------------------
 
 
-def _bond_terms(s, j, rot_row_a, rot_row_b, coeff):
-    # coeff * (rot_row_a . sigma_j)(rot_row_b . sigma_{j+1})
-    nxt = (j + 1) % s
-    return [
-        (coeff * rot_row_a[a] * rot_row_b[b], [(j, a + 1), (nxt, b + 1)])
-        for a in range(3)
-        for b in range(3)
-    ]
-
-
-def _field_terms(j, rot_row, coeff):
-    return [(coeff * rot_row[a], [(j, a + 1)]) for a in range(3)]
+def _bonds(row_a, row_b, coeff=1.0) -> np.ndarray:
+    # coeff * (row_a . sigma_j)(row_b . sigma_{j+1}): nine coefficients, a-major
+    row_a, row_b = np.asarray(row_a, dtype=float), np.asarray(row_b, dtype=float)
+    return ((coeff * row_a)[..., :, None] * row_b[..., None, :]).reshape(
+        row_a.shape[:-1] + (9,)
+    )
 
 
 def tfim_hamiltonian(s, J, rotation, g) -> np.ndarray:
@@ -165,81 +253,73 @@ def tfim_hamiltonian(s, J, rotation, g) -> np.ndarray:
     sum_j (n1.sigma_j)(n1.sigma_{j+1}) + J g (n3.sigma_j),
     n1, n3 the first and third rows of one global rotation.
     """
-    terms = []
-    for j in range(s):
-        terms += _bond_terms(s, j, rotation[0], rotation[0], 1.0)
-        terms += _field_terms(j, rotation[2], J * g)
-    return _assemble(s, terms)
+    rot = np.asarray(rotation, dtype=float)
+    site = np.concatenate([_bonds(rot[0], rot[0]), J * g * rot[2]])
+    return _chain_table(s, 1).matrix(np.tile(site, s))
 
 
 def dtfim_hamiltonian(s, J, rotations_x, rotations_y, g) -> np.ndarray:
     """Disordered twin of the Ising chain: per-site frames and fields."""
-    terms = []
-    for j in range(s):
-        terms += _bond_terms(s, j, rotations_x[j][0], rotations_x[j][0], 1.0)
-        terms += _field_terms(j, rotations_y[j][2], J * g[j])
-    return _assemble(s, terms)
+    n1 = np.asarray(rotations_x, dtype=float)[:, 0]
+    n3 = np.asarray(rotations_y, dtype=float)[:, 2]
+    fields = (J * np.asarray(g, dtype=float))[:, None] * n3
+    sites = np.concatenate([_bonds(n1, n1), fields], axis=1)
+    return _chain_table(s, 1).matrix(sites.ravel())
 
 
 def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
     """XXZ chain in one random frame with anisotropy J g and field B h."""
-    terms = []
-    for j in range(s):
-        terms += _bond_terms(s, j, rotation[0], rotation[0], 1.0)
-        terms += _bond_terms(s, j, rotation[1], rotation[1], 1.0)
-        terms += _bond_terms(s, j, rotation[2], rotation[2], J * g)
-        terms += _field_terms(j, rotation[2], B * h)
-    return _assemble(s, terms)
+    rot = np.asarray(rotation, dtype=float)
+    site = np.concatenate(
+        [
+            _bonds(rot[0], rot[0]),
+            _bonds(rot[1], rot[1]),
+            _bonds(rot[2], rot[2], J * g),
+            B * h * rot[2],
+        ]
+    )
+    return _chain_table(s, 3).matrix(np.tile(site, s))
 
 
 def dxxz_hamiltonian(s, B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
     """Disordered twin of the XXZ chain: per-site frames, scalars g_j, h_j."""
-    terms = []
-    for j in range(s):
-        rx = rotations_x[j]
-        terms += _bond_terms(s, j, rx[0], rx[0], 1.0)
-        terms += _bond_terms(s, j, rx[1], rx[1], 1.0)
-        terms += _bond_terms(s, j, rx[2], rx[2], J * g[j])
-        terms += _field_terms(j, rotations_y[j][2], B * h[j])
-    return _assemble(s, terms)
+    rx = np.asarray(rotations_x, dtype=float)
+    n3 = np.asarray(rotations_y, dtype=float)[:, 2]
+    jg = (J * np.asarray(g, dtype=float))[:, None]
+    bh = (B * np.asarray(h, dtype=float))[:, None]
+    sites = np.concatenate(
+        [
+            _bonds(rx[:, 0], rx[:, 0]),
+            _bonds(rx[:, 1], rx[:, 1]),
+            _bonds(rx[:, 2], rx[:, 2], jg),
+            bh * n3,
+        ],
+        axis=1,
+    )
+    return _chain_table(s, 3).matrix(sites.ravel())
 
 
 def sg_hamiltonian(s, J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site):
     """Spin glass: bonds (h^a delta_ab + J1 h^ab + J2 h_j^ab) sigma^a sigma^b
     plus fields (g^a + J3 g_j^a) sigma^a."""
-    terms = []
-    for j in range(s):
-        nxt = (j + 1) % s
-        for a in range(3):
-            for b in range(3):
-                coeff = (
-                    (h_diag[a] if a == b else 0.0)
-                    + J1 * h_shared[a, b]
-                    + J2 * h_site[j, a, b]
-                )
-                terms.append((coeff, [(j, a + 1), (nxt, b + 1)]))
-        for a in range(3):
-            terms.append((g_shared[a] + J3 * g_site[j, a], [(j, a + 1)]))
-    return _assemble(s, terms)
+    bonds = np.diag(h_diag) + J1 * np.asarray(h_shared) + J2 * np.asarray(h_site)
+    fields = np.asarray(g_shared) + J3 * np.asarray(g_site)
+    sites = np.concatenate([bonds.reshape(s, 9), fields.reshape(s, 3)], axis=1)
+    return _chain_table(s, 1).matrix(sites.ravel())
 
 
 def cs_hamiltonian(s_a, s_b, B, J, g, h_central, h_bath) -> np.ndarray:
     """Central-spin model: local z fields on the s_a central spins, random
     Heisenberg-type coupling inside the central block (strength J) and unit
     random coupling of every central spin to every bath spin."""
-    s = s_a + s_b
-    terms = []
-    for j in range(s_a):
-        terms.append((B * g[j], [(j, 3)]))
-    for j in range(s_a):
-        for k in range(s_a):
-            for a in range(3):
-                terms.append((J * h_central[j, k, a], [(j, a + 1), (k, a + 1)]))
-    for j in range(s_a):
-        for k in range(s_b):
-            for a in range(3):
-                terms.append((h_bath[j, k, a], [(j, a + 1), (s_a + k, a + 1)]))
-    return _assemble(s, terms)
+    coeffs = np.concatenate(
+        [
+            B * np.asarray(g, dtype=float),
+            (J * np.asarray(h_central, dtype=float)).ravel(),
+            np.asarray(h_bath, dtype=float).ravel(),
+        ]
+    )
+    return _cs_table(s_a, s_b).matrix(coeffs)
 
 
 def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
@@ -250,18 +330,11 @@ def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
     """
     if s < 2:
         raise ValueError("need at least 4 Majorana modes (s >= 2)")
-    modes = _majorana_strings(s)
     n_terms = comb(2 * s, 4)
     couplings = np.asarray(couplings, dtype=float)
     if couplings.shape != (n_terms,):
         raise ValueError(f"expected {n_terms} couplings, got {couplings.shape}")
-    ham = np.zeros((1 << s, 1 << s), dtype=complex)
-    for coeff, (i, j, k, l) in zip(
-        couplings, itertools.combinations(range(2 * s), 4)
-    ):
-        string = modes[i] * modes[j] * modes[k] * modes[l]
-        string.add_into(ham, J2 * coeff)
-    return ham
+    return _syk_table(s).matrix(J2 * couplings)
 
 
 @dataclass(frozen=True)
@@ -397,12 +470,15 @@ def rescale_energies(spectra) -> float:
     spectra = np.asarray(spectra, dtype=float)
     if spectra.ndim == 1:
         spectra = spectra[None, :]
-    n, d = spectra.shape
+    return _moment_scale(spectra.shape[1], spectra.sum(axis=1), (spectra**2).sum(axis=1))
+
+
+def _moment_scale(d, tot, sq) -> float:
+    # The pooled pair moment needs only each sample's sum E and sum E^2
+    # (Tr H and Tr H^2), so no spectrum is required.
     if d < 2:
         raise ValueError("spectra need at least 2 levels")
-    sq = (spectra**2).sum(axis=1)
-    tot = spectra.sum(axis=1)
-    pair_mean = (2 * d * sq - 2 * tot**2).sum() / (n * d * (d - 1))
+    pair_mean = (2 * d * sq - 2 * tot**2).sum() / (tot.size * d * (d - 1))
     if pair_mean <= 0:
         raise ValueError("degenerate ensemble: zero pair second moment")
     return float(np.sqrt(2 * (d + 1) / pair_mean))
@@ -463,20 +539,22 @@ def ensemble_dynamics(
 
     Spin-model families are first rescaled by one ensemble-global energy
     factor, estimated from a pilot pass over the same per-sample streams so
-    that pooled <(E_i - E_j)^2> = 2(d+1); the Gaussian and Poisson
+    that pooled <(E_i - E_j)^2> = 2(d+1); the pilot takes Tr H and Tr H^2
+    of each sample and diagonalises nothing.  The Gaussian and Poisson
     baselines are calibrated analytically and skip the pilot pass.
     """
+    _check_counts(n_samples, threads)
     times = np.asarray(times, dtype=float)
     sampler = make_sampler(spec)
     scale = 1.0
     if spec.family in SPIN_FAMILIES:
-        spectra = [
-            np.linalg.eigvalsh(
-                sampler(RngStream(rng.master_seed, stream_offset + i).generator())
-            )
-            for i in range(n_samples)
-        ]
-        scale = rescale_energies(spectra)
+        tot = np.empty(n_samples)
+        sq = np.empty(n_samples)
+        for i in range(n_samples):
+            h = sampler(RngStream(rng.master_seed, stream_offset + i).generator())
+            tot[i] = np.trace(h).real
+            sq[i] = np.vdot(h, h).real
+        scale = _moment_scale(spec.d, tot, sq)
     return mc_average(
         sampler,
         spec.d_a,

@@ -215,9 +215,20 @@ def _single_run(sampler, d_A, d_B, times, stream, initial_state, scramble, scale
     blocks = psi_t.reshape(d_A, d_B, times.size)
     rho = np.einsum("aqt,bqt->tab", blocks, blocks.conj())
     if u_a is not None:
-        rho = np.einsum("ij,tjk,kl->til", u_a.conj().T, rho, u_a)
+        # U^dag rho_t U for every t as two flat products over the (T*d_A, d_A)
+        # stack: rho_t U, then (U^dag M)^T = M^T conj(U) on the transposed stack
+        m = (rho.reshape(-1, d_A) @ u_a).reshape(rho.shape)
+        m = m.transpose(0, 2, 1).reshape(-1, d_A) @ u_a.conj()
+        rho = m.reshape(rho.shape).transpose(0, 2, 1)
     pur = np.sum(np.abs(rho) ** 2, axis=(1, 2))
     return rho, pur
+
+
+def _check_counts(n_samples, threads) -> None:
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def mc_average(
@@ -241,9 +252,9 @@ def mc_average(
     product initial state, rho_A is reported in the rotated basis whose
     first vector is the sampled |1_A>, matching the analytic coefficient
     decomposition; ``initial_state="e1"`` keeps the computational basis.
+    ``threads`` must be >= 1; at most ``n_samples`` worker threads run.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_counts(n_samples, threads)
     times = np.asarray(times, dtype=float)
     streams = [
         RngStream(rng.master_seed, stream_offset + i) for i in range(n_samples)
@@ -254,8 +265,9 @@ def mc_average(
             sampler, d_A, d_B, times, stream, initial_state, scramble, energy_scale
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, n_samples)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = pool.map(job, streams)
             return _reduce(times, results, n_samples, energy_scale)
     return _reduce(times, map(job, streams), n_samples, energy_scale)

@@ -130,6 +130,12 @@ class TestMonteCarlo:
             manifest = json.load(fh)
         assert manifest["summary"]["energy_scale"] != 1.0
 
+    def test_zero_threads_is_argument_error(self, tmp_path):
+        out = str(tmp_path / "x.csv")
+        assert main(["montecarlo", "--model", "GUE", "--samples", "2",
+                     "--threads", "0", "--out", out]) == 2
+        assert not os.path.exists(out)
+
     def test_bad_dimension_is_argument_error(self, tmp_path):
         assert main(["montecarlo", "--model", "TFIM", "--dA", "3", "--dB", "2",
                      "--samples", "2", "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,5 +1,6 @@
 """Spin-model ensembles, Majorana algebra, rescaling and the D6 distance."""
 
+import itertools
 import math
 from math import comb
 
@@ -268,3 +269,153 @@ class TestGapSeparation:
             ]
             ratios[family] = gap_statistics(spectra).mean_ratio
         assert ratios["XXZ"] < ratios["DXXZ"]
+
+
+# ---------------------------------------------------------------------------
+# Table assembly against an independent dense reference: every operator is a
+# Kronecker product of 2x2 Pauli matrices, with site 0 the leftmost factor.
+# ---------------------------------------------------------------------------
+
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def _site_op(s, site, mat):
+    out = np.ones((1, 1), dtype=complex)
+    for k in range(s):
+        out = np.kron(out, mat if k == site else np.eye(2))
+    return out
+
+
+def _dot_sigma(s, site, vec):
+    return sum(v * _site_op(s, site, p) for v, p in zip(vec, PAULIS))
+
+
+def _dense_majoranas(s):
+    modes = []
+    for j in range(s):
+        for p in (SIGMA_X, SIGMA_Y):
+            op = np.ones((1, 1), dtype=complex)
+            for k in range(s):
+                op = np.kron(op, SIGMA_Z if k < j else p if k == j else np.eye(2))
+            modes.append(op)
+    return modes
+
+
+def _reference(family, s_a, s_b, rng):
+    """(table-built H, dense reference H) for one family with random inputs."""
+    from guedyn import models
+
+    s = s_a + s_b
+    rot = lambda: np.linalg.qr(rng.normal(size=(3, 3)))[0]  # noqa: E731
+    J, B, g, h = rng.normal(size=4)
+    pair = lambda j, u, v: _dot_sigma(s, j, u) @ _dot_sigma(s, (j + 1) % s, v)  # noqa: E731
+    if family == "TFIM":
+        r = rot()
+        want = sum(pair(j, r[0], r[0]) + J * g * _dot_sigma(s, j, r[2]) for j in range(s))
+        return models.tfim_hamiltonian(s, J, r, g), want
+    if family == "DTFIM":
+        rx, ry, gs = [rot() for _ in range(s)], [rot() for _ in range(s)], rng.normal(size=s)
+        want = sum(pair(j, rx[j][0], rx[j][0]) + J * gs[j] * _dot_sigma(s, j, ry[j][2])
+                   for j in range(s))
+        return models.dtfim_hamiltonian(s, J, rx, ry, gs), want
+    if family == "XXZ":
+        r = rot()
+        want = sum(pair(j, r[0], r[0]) + pair(j, r[1], r[1]) + J * g * pair(j, r[2], r[2])
+                   + B * h * _dot_sigma(s, j, r[2]) for j in range(s))
+        return models.xxz_hamiltonian(s, B, J, r, g, h), want
+    if family == "DXXZ":
+        rx, ry = [rot() for _ in range(s)], [rot() for _ in range(s)]
+        gs, hs = rng.normal(size=s), rng.normal(size=s)
+        want = sum(
+            pair(j, rx[j][0], rx[j][0]) + pair(j, rx[j][1], rx[j][1])
+            + J * gs[j] * pair(j, rx[j][2], rx[j][2]) + B * hs[j] * _dot_sigma(s, j, ry[j][2])
+            for j in range(s)
+        )
+        return models.dxxz_hamiltonian(s, B, J, rx, ry, gs, hs), want
+    if family == "SG":
+        J1, J2, J3 = rng.normal(size=3)
+        h_diag, h_shared, h_site = (rng.normal(size=3), rng.normal(size=(3, 3)),
+                                    rng.normal(size=(s, 3, 3)))
+        g_shared, g_site = rng.normal(size=3), rng.normal(size=(s, 3))
+        want = 0
+        for j in range(s):
+            coupling = np.diag(h_diag) + J1 * h_shared + J2 * h_site[j]
+            for a in range(3):
+                e_a = np.eye(3)[a]
+                want = want + pair(j, e_a, coupling[a])
+            want = want + _dot_sigma(s, j, g_shared + J3 * g_site[j])
+        got = models.sg_hamiltonian(s, J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site)
+        return got, want
+    if family == "CS":
+        gs = rng.normal(size=s_a)
+        h_central, h_bath = rng.normal(size=(s_a, s_a, 3)), rng.normal(size=(s_a, s_b, 3))
+        want = sum(B * gs[j] * _site_op(s, j, SIGMA_Z) for j in range(s_a))
+        for j in range(s_a):
+            for a, p in enumerate(PAULIS):
+                want = want + sum(J * h_central[j, k, a] * _site_op(s, j, p) @ _site_op(s, k, p)
+                                  for k in range(s_a))
+                want = want + sum(h_bath[j, k, a] * _site_op(s, j, p) @ _site_op(s, s_a + k, p)
+                                  for k in range(s_b))
+        return models.cs_hamiltonian(s_a, s_b, B, J, gs, h_central, h_bath), want
+    if family == "SYK":
+        f = _dense_majoranas(s)
+        subsets = list(itertools.combinations(range(2 * s), 4))
+        couplings = rng.normal(size=len(subsets))
+        want = sum(J * c * f[i] @ f[j] @ f[k] @ f[l]
+                   for c, (i, j, k, l) in zip(couplings, subsets))
+        return models.syk_hamiltonian(s, J, couplings), want
+    raise AssertionError(family)
+
+
+class TestTableAssembly:
+    @pytest.mark.parametrize("family", SPIN_FAMILIES)
+    @pytest.mark.parametrize("s_a,s_b", [(1, 1), (1, 2), (2, 2)])
+    def test_matches_dense_kron_reference(self, family, s_a, s_b):
+        rng = np.random.default_rng(7 + 10 * s_a + s_b)
+        for _ in range(3):
+            got, want = _reference(family, s_a, s_b, rng)
+            assert got.shape == want.shape == (1 << (s_a + s_b),) * 2
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert np.array_equal(got, got.conj().T)
+
+    def test_coefficient_count_checked(self):
+        with pytest.raises(ValueError):
+            cs_hamiltonian(1, 2, 1.0, 1.0, np.zeros(1), np.zeros((1, 1, 3)),
+                           np.ones((1, 1, 3)))
+
+
+class TestPilotPass:
+    times = np.linspace(0.0, 6.0, 7)
+
+    @pytest.mark.parametrize("family", SPIN_FAMILIES)
+    def test_scale_matches_spectra(self, family):
+        # the pilot's Tr H, Tr H^2 moments give the rescale_energies factor
+        spec = ModelSpec(family, 2, 4)
+        result = ensemble_dynamics(spec, self.times, 6, RngStream(60), stream_offset=3)
+        spectra = [np.linalg.eigvalsh(build_model(spec, RngStream(60, 3 + i)))
+                   for i in range(6)]
+        want = rescale_energies(spectra)
+        assert abs(result.energy_scale - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("family", ["SYK", "XXZ"])
+    def test_thread_count_invariance(self, family):
+        spec = ModelSpec(family, 2, 4)
+        one = ensemble_dynamics(spec, self.times, 8, RngStream(61), threads=1)
+        three = ensemble_dynamics(spec, self.times, 8, RngStream(61), threads=3)
+        for key in ("rho_mean", "rho_stderr", "purity_mean", "purity_stderr"):
+            assert np.array_equal(getattr(one, key), getattr(three, key)), key
+        assert one.energy_scale == three.energy_scale
+
+    @pytest.mark.parametrize("n_samples,threads,message", [(0, 1, "n_samples"),
+                                                           (4, 0, "threads")])
+    def test_bad_counts_rejected_before_pilot(self, monkeypatch, n_samples, threads,
+                                              message):
+        from guedyn import models
+
+        def no_build(spec, rng):
+            raise AssertionError("the pilot pass ran")
+
+        monkeypatch.setattr(models, "build_model", no_build)
+        with pytest.raises(ValueError, match=message):
+            ensemble_dynamics(ModelSpec("XXZ", 2, 4), self.times, n_samples,
+                              RngStream(62), threads=threads)

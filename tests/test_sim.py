@@ -274,6 +274,31 @@ class TestMcAverage:
             mc_average(self.gue_sampler, 3, 2, self.times, 1, RngStream(0))
 
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            mc_average(self.gue_sampler, 2, 2, self.times, 4, RngStream(0),
+                       threads=threads)
+
+    def test_more_threads_than_samples(self):
+        one = mc_average(self.gue_sampler, 2, 2, self.times, 2, RngStream(24))
+        many = mc_average(self.gue_sampler, 2, 2, self.times, 2, RngStream(24),
+                          threads=3)
+        assert np.array_equal(one.rho_mean, many.rho_mean)
+
+    def test_rotated_basis_larger_subsystem(self):
+        # d_A = 4: U^dag rho_A(t) U against a per-time dense reference
+        result = mc_average(lambda gen: sample_gue(8, 1.0, gen), 4, 2, self.times,
+                            1, RngStream(25))
+        gen = RngStream(25, 0).generator()
+        h = sample_gue(8, 1.0, gen)
+        psi_a, psi_b = haar_state(4, gen), haar_state(2, gen)
+        psi_t = evolve(h, np.kron(psi_a, psi_b), self.times)
+        u_a = completion_unitary(psi_a)
+        for k in (0, 23, 60):
+            rho = u_a.conj().T @ partial_trace(psi_t[k], 4, 2) @ u_a
+            assert np.max(np.abs(result.rho_mean[k] - rho)) < 1e-12
+
 class TestGapStatistics:
     def test_ratios_bounded(self):
         energies = np.linalg.eigvalsh(sample_gue(16, 1.0, RngStream(24, 0), size=200))
