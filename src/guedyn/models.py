@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 SPIN_FAMILIES = ("TFIM", "DTFIM", "XXZ", "DXXZ", "SYK", "SG", "CS")
+# Periodic chains; on one spin the bond j -> j+1 would be an on-site product.
+_CHAIN_FAMILIES = ("TFIM", "DTFIM", "XXZ", "DXXZ", "SG")
 FAMILIES = SPIN_FAMILIES + ("GUE", "POISSON")
 
 
@@ -342,8 +344,9 @@ class ModelSpec:
     """Reproducible description of one Hamiltonian ensemble.
 
     ``d_a`` and ``d_b`` are the subsystem dimensions; spin families require
-    both to be powers of two (s_a = log2 d_a spins belong to A).  Couplings
-    not named by the family are ignored.
+    both to be powers of two (s_a = log2 d_a spins belong to A).  The chain
+    families and SYK need at least two spins, CS at least one central spin.
+    Couplings not named by the family are ignored.
     """
 
     family: str
@@ -364,6 +367,8 @@ class ModelSpec:
                     )
             if self.family == "SYK" and self.n_spins < 2:
                 raise ValueError("SYK needs at least 2 spins (4 Majorana modes)")
+            if self.family in _CHAIN_FAMILIES and self.n_spins < 2:
+                raise ValueError(f"{self.family} chain needs at least 2 spins")
             if self.family == "CS" and self.s_a < 1:
                 raise ValueError("CS needs at least one central spin")
 

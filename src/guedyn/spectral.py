@@ -18,7 +18,8 @@ dimensions and times stay in range:
 The time grid is the unit of work: each averaged quantity is one function
 of (statistics, dimensions, times) returning an array over the grid, and
 the Laguerre recurrence runs once per grid chunk, batched over t.  The
-scalar functions of one time point are thin wrappers over these curves.
+one-point functions are thin wrappers over these curves that also accept
+an array of times.
 Every public return is checked to be finite; complex intermediates are
 checked to be real before truncation.
 """
@@ -228,22 +229,23 @@ def _expansion(coeffs: tuple[int, ...]) -> tuple[tuple[float, tuple], ...]:
 def _loop_traces(keys, mats) -> dict:
     """Real traces over the chunk of the ordered products F(c_1 t) F(c_2 t) ...
 
-    Products are formed left to right; those that prefix a longer loop are
-    kept for reuse within the chunk.
+    Each loop's prefix product is formed left to right by batched matmul and
+    kept for reuse within the chunk; the terminal factor is only contracted:
+    Tr(P F) = sum_ij P_ij F_ij, since every F(ct) and its conjugate are
+    symmetric.
     """
-    shared = {key[:i] for key in keys for i in range(2, len(key))}
     products = {}
     traces = {}
-    for key in sorted(keys, key=len):
+    for key in keys:
         prod = mats[key[0]]
-        for i in range(2, len(key) + 1):
-            if key[:i] in products:
-                prod = products[key[:i]]
-                continue
-            prod = prod @ mats[key[i - 1]]
-            if key[:i] in shared:
-                products[key[:i]] = prod
-        tr = np.trace(prod, axis1=1, axis2=2)
+        for i in range(2, len(key)):
+            if key[:i] not in products:
+                products[key[:i]] = prod @ mats[key[i - 1]]
+            prod = products[key[:i]]
+        if len(key) == 1:
+            tr = np.trace(prod, axis1=1, axis2=2)
+        else:
+            tr = np.einsum("tij,tij->t", prod, mats[key[-1]])
         if np.any(np.abs(tr.imag) > 1e-10 * np.maximum(1.0, np.abs(tr.real))):
             raise NumericalError(f"non-real loop trace for {key}")
         traces[key] = tr.real
@@ -391,46 +393,56 @@ def purity_curve(statistics: str, d_A: int, d_B: int, times) -> np.ndarray:
     return xi_curve(statistics, d, times) / (d * d * (d - 1) * (d + 3)) * (1 - frac) + frac
 
 
-def chi_mean(d: int, t: float) -> float:
-    """<chi(t)> for GUE statistics at one time; see :func:`chi_curve`."""
-    return float(chi_curve("GUE", d, [t])[0])
+def _at(curve, t, *args):
+    """curve(*args, times) at t: a float (a tuple of floats for rho) for one
+    time, the curve's arrays unchanged for a 1-d array of times."""
+    if np.ndim(t) != 0:
+        return curve(*args, t)
+    out = curve(*args, [t])
+    if isinstance(out, tuple):
+        return tuple(float(v[0]) for v in out)
+    return float(out[0])
 
 
-def xi_mean(d: int, t: float) -> float:
-    """<xi(t)> for GUE statistics at one time; see :func:`xi_curve`."""
-    return float(xi_curve("GUE", d, [t])[0])
+def chi_mean(d: int, t: float | np.ndarray) -> float | np.ndarray:
+    """<chi(t)> for GUE statistics at t (a time or a 1-d array of times);
+    see :func:`chi_curve`."""
+    return _at(chi_curve, t, "GUE", d)
 
 
-def rho_mean_coeffs(d_A: int, d_B: int, t: float) -> tuple[float, float]:
-    """(p1, pmix) for GUE statistics at one time; see :func:`rho_curve`."""
-    p1, pmix = rho_curve("GUE", d_A, d_B, [t])
-    return float(p1[0]), float(pmix[0])
+def xi_mean(d: int, t: float | np.ndarray) -> float | np.ndarray:
+    """<xi(t)> for GUE statistics at t; see :func:`xi_curve`."""
+    return _at(xi_curve, t, "GUE", d)
 
 
-def purity_mean(d_A: int, d_B: int, t: float) -> float:
-    """Averaged purity for GUE statistics at one time; see :func:`purity_curve`."""
-    return float(purity_curve("GUE", d_A, d_B, [t])[0])
+def rho_mean_coeffs(d_A: int, d_B: int, t: float | np.ndarray) -> tuple:
+    """(p1, pmix) for GUE statistics at t; see :func:`rho_curve`."""
+    return _at(rho_curve, t, "GUE", d_A, d_B)
 
 
-def chi_poisson(d: int, t: float) -> float:
-    """<chi(t)> for Poisson statistics at one time; see :func:`chi_curve`."""
-    return float(chi_curve("POISSON", d, [t])[0])
+def purity_mean(d_A: int, d_B: int, t: float | np.ndarray) -> float | np.ndarray:
+    """Averaged purity for GUE statistics at t; see :func:`purity_curve`."""
+    return _at(purity_curve, t, "GUE", d_A, d_B)
 
 
-def xi_poisson(d: int, t: float) -> float:
-    """<xi(t)> for Poisson statistics at one time; see :func:`xi_curve`."""
-    return float(xi_curve("POISSON", d, [t])[0])
+def chi_poisson(d: int, t: float | np.ndarray) -> float | np.ndarray:
+    """<chi(t)> for Poisson statistics at t; see :func:`chi_curve`."""
+    return _at(chi_curve, t, "POISSON", d)
 
 
-def rho_poisson_coeffs(d_A: int, d_B: int, t: float) -> tuple[float, float]:
-    """(p1, pmix) for Poisson statistics at one time; see :func:`rho_curve`."""
-    p1, pmix = rho_curve("POISSON", d_A, d_B, [t])
-    return float(p1[0]), float(pmix[0])
+def xi_poisson(d: int, t: float | np.ndarray) -> float | np.ndarray:
+    """<xi(t)> for Poisson statistics at t; see :func:`xi_curve`."""
+    return _at(xi_curve, t, "POISSON", d)
 
 
-def purity_poisson(d_A: int, d_B: int, t: float) -> float:
-    """Averaged purity for Poisson statistics at one time; see :func:`purity_curve`."""
-    return float(purity_curve("POISSON", d_A, d_B, [t])[0])
+def rho_poisson_coeffs(d_A: int, d_B: int, t: float | np.ndarray) -> tuple:
+    """(p1, pmix) for Poisson statistics at t; see :func:`rho_curve`."""
+    return _at(rho_curve, t, "POISSON", d_A, d_B)
+
+
+def purity_poisson(d_A: int, d_B: int, t: float | np.ndarray) -> float | np.ndarray:
+    """Averaged purity for Poisson statistics at t; see :func:`purity_curve`."""
+    return _at(purity_curve, t, "POISSON", d_A, d_B)
 
 
 def purity_limit(d_A: int, d_B: int) -> float:
@@ -464,6 +476,12 @@ def bessel_limit(tau: float, power: int = 2) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Times per fn call in the dense scan of find_extrema.  Small enough that a
+# block's temporaries stay minor (one chi_curve call on a whole 1001-time
+# grid at d = 60 allocates about 16 MB per chunk), large enough that the
+# per-call overhead of the one-point functions is shared by many times.
+_SCAN_BLOCK = 32
+
 
 def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Golden-section search for a minimum of f bracketed in [a, b]."""
@@ -481,6 +499,27 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fe else (e, fe)
 
 
+def _scan(fn, ts: np.ndarray) -> np.ndarray:
+    """fn over ts, one call per block of _SCAN_BLOCK points while fn maps an
+    array to the elementwise array, then one call per point."""
+    out = np.empty(ts.size)
+    blockwise = True
+    for start in range(0, ts.size, _SCAN_BLOCK):
+        block = ts[start:start + _SCAN_BLOCK]
+        if blockwise:
+            try:
+                values = np.asarray(fn(block), dtype=float)
+            except (TypeError, ValueError):
+                blockwise = False
+            else:
+                if values.shape == block.shape:
+                    out[start:start + block.size] = values
+                    continue
+                blockwise = False
+        out[start:start + block.size] = [fn(t) for t in block]
+    return out
+
+
 def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     """Interior extrema of a smooth curve on (0, t_max].
 
@@ -488,6 +527,13 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     refined by golden-section search on the values (on -fn for maxima)
     until the bracket is narrower than tol.  The boundary maximum at t = 0
     is excluded.  Returns [(t, value), ...].
+
+    The dense scan calls fn on consecutive blocks of the sampling grid, a
+    1-d float array each, so fn must either act elementwise on an array
+    (as the one-point functions of this module do) or raise TypeError or
+    ValueError.  If it raises, or returns anything but one value per time,
+    the rest of the scan calls fn once per time.  The refinement always
+    calls fn with one time.
 
     Only values are compared, so the position is resolved to about
     max(tol, sqrt(2 delta / |f''|)), where delta is the absolute error of
@@ -499,7 +545,7 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     if t_max <= 0 or step <= 0:
         raise ValueError("t_max and step must be positive")
     ts = np.arange(0.0, t_max + 0.5 * step, step)
-    fs = _finite(np.array([fn(t) for t in ts]), "curve value in extremum scan")
+    fs = _finite(_scan(fn, ts), "curve value in extremum scan")
     diffs = np.diff(fs)
     scale = max(1.0, float(np.max(np.abs(fs))))
 

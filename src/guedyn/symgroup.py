@@ -149,11 +149,6 @@ class Permutation:
         return f"Permutation({body}, q={self.q})"
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle type of ``p`` as a partition of q."""
-    return p.cycle_type()
-
-
 def hook_dimension(shape: tuple[int, ...]) -> int:
     """Dimension of the S_q irrep labelled by ``shape``, via hook lengths."""
     shape = tuple(shape)

@@ -140,6 +140,13 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--model", "TFIM", "--dA", "3", "--dB", "2",
                      "--samples", "2", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_single_spin_chain_is_argument_error(self, tmp_path):
+        out = str(tmp_path / "x.csv")
+        assert main(["montecarlo", "--model", "SG", "--dA", "2", "--dB", "1",
+                     "--samples", "2", "--out", out]) == 2
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest.json")
+
 
 class TestGaps:
     def test_histogram_weights_sum_to_one(self, tmp_path):

@@ -130,6 +130,16 @@ class TestBuilders:
             ModelSpec("CS", 1, 4)  # no central spin
         ModelSpec("GUE", 3, 5)  # arbitrary dimensions allowed
 
+    @pytest.mark.parametrize("family", ["TFIM", "DTFIM", "XXZ", "DXXZ", "SG"])
+    def test_chains_need_two_spins(self, family):
+        # one periodic site would couple the spin to itself (SG: H != H^dag)
+        for d_a, d_b in [(2, 1), (1, 2), (1, 1)]:
+            with pytest.raises(ValueError):
+                ModelSpec(family, d_a, d_b)
+        for d_a, d_b in [(2, 2), (1, 4)]:
+            h = build_model(ModelSpec(family, d_a, d_b), RngStream(44, 0))
+            assert np.array_equal(h, h.conj().T)
+
 
 class TestRescaleEnergies:
     def test_exact_two_level(self):

@@ -492,3 +492,105 @@ class TestExtremaRefinement:
     def test_non_finite_curve_raises(self):
         with pytest.raises(NumericalError):
             find_extrema(lambda t: math.nan if t > 0.5 else t, 1.0)
+
+
+def scalar_only(fn):
+    """fn restricted to one time per call, as find_extrema's fallback sees it."""
+    def call(t):
+        if np.ndim(t):
+            raise TypeError("one time per call")
+        return fn(t)
+    return call
+
+
+class TestArrayWrappers:
+    TIMES = np.array([0.9, 0.0, 3.1, -0.2, 45.0, 1.7, 6.0])  # unsorted, both signs
+
+    @pytest.mark.parametrize("statistics,chi,xi", [
+        ("GUE", chi_mean, xi_mean), ("POISSON", chi_poisson, xi_poisson)])
+    def test_chi_xi(self, statistics, chi, xi):
+        assert np.array_equal(chi(7, self.TIMES), chi_curve(statistics, 7, self.TIMES))
+        assert np.array_equal(xi(5, self.TIMES), xi_curve(statistics, 5, self.TIMES))
+        assert type(chi(7, 0.9)) is float and type(xi(5, np.float64(0.9))) is float
+
+    @pytest.mark.parametrize("statistics,rho,purity", [
+        ("GUE", rho_mean_coeffs, purity_mean),
+        ("POISSON", rho_poisson_coeffs, purity_poisson)])
+    @pytest.mark.parametrize("d_a,d_b", [(1, 3), (2, 3)])
+    def test_rho_purity(self, statistics, rho, purity, d_a, d_b):
+        p1, pmix = rho(d_a, d_b, self.TIMES)
+        q1, qmix = rho_curve(statistics, d_a, d_b, self.TIMES)
+        assert np.array_equal(p1, q1) and np.array_equal(pmix, qmix)
+        assert np.array_equal(purity(d_a, d_b, self.TIMES),
+                              purity_curve(statistics, d_a, d_b, self.TIMES))
+        assert all(type(v) is float for v in rho(d_a, d_b, 0.9))
+        assert type(purity(d_a, d_b, 0.9)) is float
+
+    def test_list_of_times_is_a_grid(self):
+        assert np.array_equal(chi_mean(4, [0.5, 1.5]), chi_curve("GUE", 4, [0.5, 1.5]))
+
+    def test_two_dimensional_times_rejected(self):
+        with pytest.raises(ValueError):
+            chi_mean(4, np.zeros((2, 2)))
+
+
+class TestBlockScan:
+    # (fn, t_max, step): grids of 25 points (under one block), 6001, 1251
+    # and 1001 points (none a multiple of the block size), and a quadratic.
+    CASES = [
+        (lambda t: chi_mean(4, t), 6.0, 0.25),
+        (lambda t: chi_mean(4, t), 6.0, 1e-3),
+        (lambda t: chi_mean(13, t), 1.25, 1e-3),
+        (lambda t: chi_mean(60, t), 1.0, 1e-3),
+        (lambda t: (t - 1.3) ** 2, 3.0, 1e-3),
+    ]
+
+    @pytest.mark.parametrize("fn,t_max,step", CASES)
+    def test_identical_to_per_point_scan(self, fn, t_max, step):
+        n_points = np.arange(0.0, t_max + 0.5 * step, step).size
+        assert n_points < spectral._SCAN_BLOCK or n_points % spectral._SCAN_BLOCK
+        block = find_extrema(fn, t_max, step)
+        assert block and block == find_extrema(scalar_only(fn), t_max, step)
+
+    def test_one_call_per_block(self):
+        sizes = []
+
+        def fn(t):
+            sizes.append(np.size(t) if np.ndim(t) else None)
+            return chi_mean(13, t)
+
+        find_extrema(fn, 1.25)
+        array_calls = [s for s in sizes if s is not None]
+        assert len(array_calls) == math.ceil(1251 / spectral._SCAN_BLOCK)
+        assert sum(array_calls) == 1251
+        assert max(array_calls) == spectral._SCAN_BLOCK
+
+    def test_wrong_shape_falls_back_to_per_point(self):
+        calls = []
+
+        def fn(t):
+            calls.append(np.ndim(t))
+            return float(np.sum((np.asarray(t) - 1.3) ** 2))  # one value per call
+
+        (t_min, value), = find_extrema(fn, 3.0)
+        assert abs(t_min - 1.3) < 1e-6 and value < 1e-12
+        assert calls[0] == 1 and not any(calls[1:])
+        assert find_extrema(fn, 3.0) == find_extrema(scalar_only(fn), 3.0)
+
+    def test_numerical_error_on_a_block_propagates(self):
+        def fn(t):
+            if np.ndim(t):
+                raise NumericalError("non-finite")
+            return (t - 1.3) ** 2  # a per-point fallback would succeed
+
+        with pytest.raises(NumericalError):
+            find_extrema(fn, 1.0)
+
+
+class TestLateTime:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 60), u=st.floats(0.0, 30.0))
+    def test_chi_tends_to_d(self, d, u):
+        # past t = 2 sqrt(d) + 4 the correlator term has decayed below 1e-9 d
+        t = 2 * math.sqrt(d) + 4 + u
+        assert abs(chi_mean(d, t) - d) <= 1e-9 * d
