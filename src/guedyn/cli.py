@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -43,30 +44,39 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_output(path, fmt, columns, rows, manifest):
-    """Write the data file atomically plus its sibling manifest."""
+@contextmanager
+def _atomic(path):
+    """A file opened on a temp sibling of ``path`` and moved onto it by
+    os.replace when the block ends; if the block raises, it is removed, so
+    ``path`` is either written whole or left untouched."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            if fmt == "csv":
-                fh.write(",".join(col["name"] for col in columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
-            else:
-                data = {
-                    col["name"]: [
-                        v if isinstance(v, str) else float(v) for v in col_vals
-                    ]
-                    for col, col_vals in zip(columns, zip(*rows))
-                }
-                json.dump({"columns": columns, "data": data}, fh, indent=1)
-                fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    with open(path + ".manifest.json", "w") as fh:
+
+
+def _write_output(path, fmt, columns, rows, manifest):
+    """Write the data file and then its sibling manifest, each atomically."""
+    with _atomic(path) as fh:
+        if fmt == "csv":
+            fh.write(",".join(col["name"] for col in columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        else:
+            data = {
+                col["name"]: [
+                    v if isinstance(v, str) else float(v) for v in col_vals
+                ]
+                for col, col_vals in zip(columns, zip(*rows))
+            }
+            json.dump({"columns": columns, "data": data}, fh, indent=1)
+            fh.write("\n")
+    with _atomic(path + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=1, default=str)
         fh.write("\n")
 

@@ -39,7 +39,6 @@ __all__ = [
     "compute_R",
     "compute_Q",
     "haar_average_moment",
-    "evaluate_average",
     "iota",
     "chi_of_spectrum",
     "xi_of_spectrum",
@@ -329,11 +328,6 @@ def _rho_matrix_average(d_A: int, d_B: int) -> SymbolicAverage:
     avg.terms[(mix, chi)] = wg_swap
     avg.terms[(mix, const)] = wg_id
     return avg
-
-
-def evaluate_average(avg: SymbolicAverage, spectrum, t: float) -> float:
-    """Functional form of :meth:`SymbolicAverage.evaluate`."""
-    return avg.evaluate(spectrum, t)
 
 
 # ---------------------------------------------------------------------------

@@ -135,19 +135,22 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
 def partial_trace(psi: np.ndarray, d_A: int, d_B: int) -> np.ndarray:
     """Reduced density matrix of A from a pure state on A x B.
 
-    Basis convention is A-major: full index k = k_A * d_B + k_B.
+    Basis convention is A-major: full index k = k_A * d_B + k_B.  A (T, d)
+    stack of states gives the (T, d_A, d_A) stack of reduced matrices.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.size != d_A * d_B:
-        raise ValueError(f"state length {psi.size} != d_A*d_B = {d_A * d_B}")
-    m = psi.reshape(d_A, d_B)
-    return m @ m.conj().T
+    if psi.shape[-1] != d_A * d_B:
+        raise ValueError(f"state length {psi.shape[-1]} != d_A*d_B = {d_A * d_B}")
+    m = psi.reshape(psi.shape[:-1] + (d_A, d_B))
+    return np.einsum("...aq,...bq->...ab", m, m.conj())
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr rho^2 of a Hermitian density matrix (Frobenius norm squared)."""
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """Tr rho^2 of a Hermitian density matrix (Frobenius norm squared); an
+    array over a (T, d_A, d_A) stack."""
     rho = np.asarray(rho)
-    return float(np.sum(np.abs(rho) ** 2))
+    out = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+    return float(out) if rho.ndim == 2 else out
 
 
 def completion_unitary(psi: np.ndarray) -> np.ndarray:
@@ -208,20 +211,14 @@ def _single_run(sampler, d_A, d_B, times, stream, initial_state, scramble, scale
     else:
         raise ValueError(f"unknown initial_state: {initial_state!r}")
 
-    energies, basis = np.linalg.eigh(H)
-    coeff = basis.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(scale * energies, times))
-    psi_t = basis @ (coeff[:, None] * phases)  # (d, T)
-    blocks = psi_t.reshape(d_A, d_B, times.size)
-    rho = np.einsum("aqt,bqt->tab", blocks, blocks.conj())
+    rho = partial_trace(evolve(H, psi0, scale * times.ravel()), d_A, d_B)
     if u_a is not None:
         # U^dag rho_t U for every t as two flat products over the (T*d_A, d_A)
         # stack: rho_t U, then (U^dag M)^T = M^T conj(U) on the transposed stack
         m = (rho.reshape(-1, d_A) @ u_a).reshape(rho.shape)
         m = m.transpose(0, 2, 1).reshape(-1, d_A) @ u_a.conj()
         rho = m.reshape(rho.shape).transpose(0, 2, 1)
-    pur = np.sum(np.abs(rho) ** 2, axis=(1, 2))
-    return rho, pur
+    return rho, purity(rho)
 
 
 def _check_counts(n_samples, threads) -> None:
@@ -274,30 +271,25 @@ def mc_average(
 
 
 def _reduce(times, results, n_samples, energy_scale) -> MCResult:
-    s_rho = s2_re = s2_im = s_p = s2_p = None
-    for rho, pur in results:  # fixed order: bit-identical for any thread count
-        if s_rho is None:
-            s_rho = np.zeros_like(rho)
-            s2_re = np.zeros(rho.shape)
-            s2_im = np.zeros(rho.shape)
-            s_p = np.zeros_like(pur)
-            s2_p = np.zeros_like(pur)
-        s_rho += rho
-        s2_re += rho.real**2
-        s2_im += rho.imag**2
-        s_p += pur
-        s2_p += pur**2
+    # Per quantity (rho, purity): the sum, and the sums of the deviations
+    # from the first sample and of their squared moduli.  This shifted form
+    # of the sample variance gives exactly 0 for a spread that is exactly 0,
+    # where sum x^2 - n mean^2 leaves roundoff.
+    acc = first = None
+    for sample in results:  # fixed order: bit-identical for any thread count
+        if acc is None:
+            first = sample
+            acc = [(np.zeros_like(x), np.zeros_like(x), np.zeros(x.shape)) for x in sample]
+        for x, x0, (s, s1, s2) in zip(sample, first, acc):
+            dev = x - x0
+            s += x
+            s1 += dev
+            s2 += dev.real**2 + dev.imag**2
     n = n_samples
-    rho_mean = s_rho / n
-    p_mean = s_p / n
-    if n > 1:
-        var = (s2_re - n * rho_mean.real**2) + (s2_im - n * rho_mean.imag**2)
-        rho_stderr = np.sqrt(np.maximum(var, 0.0) / (n - 1) / n)
-        p_var = np.maximum(s2_p - n * p_mean**2, 0.0)
-        p_stderr = np.sqrt(p_var / (n - 1) / n)
-    else:
-        rho_stderr = np.zeros(rho_mean.shape)
-        p_stderr = np.zeros_like(p_mean)
+    (rho_mean, rho_stderr), (p_mean, p_stderr) = [
+        (s / n, np.sqrt(np.maximum(s2 - (s1.real**2 + s1.imag**2) / n, 0.0) / max(n - 1, 1) / n))
+        for s, s1, s2 in acc
+    ]
     return MCResult(times, rho_mean, rho_stderr, p_mean, p_stderr, n, energy_scale)
 
 

@@ -15,13 +15,18 @@ dimensions and times stay in range:
     F_{mu,nu}(t) = e^{-t^2/2} sqrt(min!/max!) (it)^{|mu-nu|}
                    L^{(|mu-nu|)}_{min}(t^2).
 
+All computation uses the real symmetric stack H = (-1)^{min(mu,nu)} G,
+where F = i^{|mu-nu|} G entrywise.  With E = diag(i^mu), F(t) = E H E and
+F(-t) = E^-1 H E^-1, so in a loop trace neighbouring E's cancel when the
+signs differ and leave S = diag((-1)^mu) when they agree, and Tr F =
+Tr(S H).  Only :func:`f_matrix` forms the complex F.
+
 The time grid is the unit of work: each averaged quantity is one function
 of (statistics, dimensions, times) returning an array over the grid, and
 the Laguerre recurrence runs once per grid chunk, batched over t.  The
 one-point functions are thin wrappers over these curves that also accept
 an array of times.
-Every public return is checked to be finite; complex intermediates are
-checked to be real before truncation.
+Every public return is checked to be finite.
 """
 
 from __future__ import annotations
@@ -65,30 +70,29 @@ STATISTICS = ("GUE", "POISSON")
 # every downstream formula returns its exact asymptotic constant.
 _UNDERFLOW_X = 1488.0
 
-# Upper bound on one (chunk, d, d) complex block of F stacks; the time grid
-# is processed in chunks of at most this size so memory stays bounded in d.
+# The time grid is processed in chunks of _CHUNK_BYTES / (16 d^2) times, so
+# each real (chunk, d, d) block of H stacks stays under half of it.
 _CHUNK_BYTES = 8 * 2**20
-
-_I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
 @lru_cache(maxsize=64)
 def _index_tables(d: int):
-    """Per-dimension tables for F: with lo = min(mu, nu) and k = |mu - nu|,
+    """Per-dimension tables for H: with lo = min(mu, nu) and k = |mu - nu|,
     the flat index of L^(k)_lo in a Laguerre table, k as float,
-    log sqrt(lo!/hi!), the phase i^k and the mask of odd k."""
+    log sqrt(lo!/hi!), the diagonal of S, and the signs (-1)^lo and (-1)^k,
+    stacked."""
     mu = np.arange(d)
     lo = np.minimum.outer(mu, mu)
     hi = np.maximum.outer(mu, mu)
     k = hi - lo
     flat = lo * d + k
     log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-    phase = _I_POWERS[k % 4]
-    odd = k % 2 == 1
+    parity = 1.0 - 2.0 * (mu % 2)
+    signs = parity[np.stack([lo, k])]
     k = k.astype(float)
-    for arr in (flat, k, log_ratio, phase, odd):
+    for arr in (flat, k, log_ratio, parity, signs):
         arr.setflags(write=False)
-    return flat, k, log_ratio, phase, odd
+    return flat, k, log_ratio, parity, signs
 
 
 def _finite(values, what: str):
@@ -138,17 +142,17 @@ def _laguerre_stack(d: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def _g_stack(d: int, times: np.ndarray) -> np.ndarray:
-    """Real (T, d, d) stack G with F(t) = i^{|mu-nu|} G(t) entrywise.
+def _h_stack(d: int, times: np.ndarray) -> np.ndarray:
+    """Real symmetric (T, d, d) stack H with F(t) = E H(t) E.
 
-    G(0) is the identity and G is flushed to zero past _UNDERFLOW_X.  May
-    hold non-finite entries where the unscaled recurrence overflows; the
-    public returns check for them.
+    H(0) = S and H is flushed to zero past _UNDERFLOW_X.  May hold
+    non-finite entries where the unscaled recurrence overflows; the public
+    returns check for them.
     """
-    flat, k, log_ratio, _, odd = _index_tables(d)
+    flat, k, log_ratio, parity, signs = _index_tables(d)
     x = times * times
     out = np.zeros((times.size, d, d))
-    out[times == 0.0] = np.eye(d)
+    out[times == 0.0] = np.diag(parity)
     live = (times != 0.0) & (x <= _UNDERFLOW_X)
     if not live.any():
         return out
@@ -161,16 +165,16 @@ def _g_stack(d: int, times: np.ndarray) -> np.ndarray:
         g -= 0.5 * x[:, None, None]
         np.exp(g, out=g)
         g *= lag
-    # (it)^k = i^k |t|^k sign(t)^k
-    g[t < 0] *= np.where(odd, -1.0, 1.0)
+    # H = (-1)^lo G, where G holds the sign(t)^k of (it)^k = i^k |t|^k sign(t)^k
+    g *= signs[0]
+    g[t < 0] *= signs[1]
     out[live] = g
     return out
 
 
-def _f_stack(d: int, times: np.ndarray) -> np.ndarray:
-    """The complex (T, d, d) stack of F(t) over a grid chunk."""
-    with np.errstate(invalid="ignore"):
-        return _index_tables(d)[3] * _g_stack(d, times)
+def _trace_s(h: np.ndarray) -> np.ndarray:
+    """Tr(S H) over a stack: the real trace of F."""
+    return (np.diagonal(h, axis1=1, axis2=2) * _index_tables(h.shape[-1])[3]).sum(-1)
 
 
 def f_matrix(d: int, t: float) -> np.ndarray:
@@ -181,24 +185,19 @@ def f_matrix(d: int, t: float) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _finite(_f_stack(d, _grid([t]))[0], f"F({t}) at d={d}")
+    e = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
+    with np.errstate(invalid="ignore"):
+        f = e[:, None] * e * _h_stack(d, _grid([t]))[0]
+    return _finite(f, f"F({t}) at d={d}")
 
 
 def trace_f(d: int, t: float) -> float:
-    """Tr F(t) = e^{-t^2/2} L^(1)_{d-1}(t^2), by the three-term recurrence."""
+    """Tr F(t) = Tr(S H(t)) = e^{-t^2/2} L^(1)_{d-1}(t^2)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    x = t * t
-    if x > _UNDERFLOW_X:
-        return 0.0
-    prev, cur = 1.0, 2.0 - x  # L^(1)_0, L^(1)_1
-    if d == 1:
-        cur = prev
-    else:
-        for n in range(2, d):
-            prev, cur = cur, ((2 * n - x) * cur - n * prev) / n
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(float(np.exp(-0.5 * x) * cur), f"Tr F({t}) at d={d}")
+    with np.errstate(invalid="ignore"):
+        tr = _trace_s(_h_stack(d, _grid([t])))
+    return _finite(float(tr[0]), f"Tr F({t}) at d={d}")
 
 
 def _canonical_loop(cs: tuple[int, ...]) -> tuple[int, ...]:
@@ -226,29 +225,35 @@ def _expansion(coeffs: tuple[int, ...]) -> tuple[tuple[float, tuple], ...]:
     return tuple(terms)
 
 
-def _loop_traces(keys, mats) -> dict:
-    """Real traces over the chunk of the ordered products F(c_1 t) F(c_2 t) ...
+def _loop_traces(keys, stacks, d: int) -> dict:
+    """Traces over the chunk of the ordered products F(c_1 t) F(c_2 t) ...
 
-    Each loop's prefix product is formed left to right by batched matmul and
-    kept for reuse within the chunk; the terminal factor is only contracted:
-    Tr(P F) = sum_ij P_ij F_ij, since every F(ct) and its conjugate are
-    symmetric.
+    Factor j is H(|c_j| t), times S on the right when c_{j+1} (cyclically)
+    has the same sign; one factor gives Tr(S H).  A longer loop is rotated
+    to start at its first largest |c| and split after n // 2 factors, so
+    <xi> needs only the runs H S H and H H at t.  Each run's product is
+    formed left to right by batched real matmul and kept for reuse within
+    the chunk, and Tr(A B) = sum_ij A_ij B_ji.
     """
+    parity = _index_tables(d)[3]
     products = {}
     traces = {}
     for key in keys:
-        prod = mats[key[0]]
-        for i in range(2, len(key)):
-            if key[:i] not in products:
-                products[key[:i]] = prod @ mats[key[i - 1]]
-            prod = products[key[:i]]
-        if len(key) == 1:
-            tr = np.trace(prod, axis1=1, axis2=2)
-        else:
-            tr = np.einsum("tij,tij->t", prod, mats[key[-1]])
-        if np.any(np.abs(tr.imag) > 1e-10 * np.maximum(1.0, np.abs(tr.real))):
-            raise NumericalError(f"non-real loop trace for {key}")
-        traces[key] = tr.real
+        n = len(key)
+        if n == 1:
+            traces[key] = _trace_s(stacks[abs(key[0])])
+            continue
+        factors = [(abs(c), (c > 0) == (key[(j + 1) % n] > 0)) for j, c in enumerate(key)]
+        start = max(range(n), key=lambda j: factors[j][0])
+        factors = tuple(factors[start:] + factors[:start])
+        runs = factors[: n // 2], factors[n // 2:]
+        for run in runs:
+            for i in range(1, len(run) + 1):
+                if run[:i] not in products:
+                    c, same = run[i - 1]
+                    f = stacks[c] * parity if same else stacks[c]
+                    products[run[:i]] = f if i == 1 else products[run[:i - 1]] @ f
+        traces[key] = np.einsum("tij,tji->t", *(products[run] for run in runs))
     return traces
 
 
@@ -256,20 +261,16 @@ def _correlators(coeff_sets, d: int, times: np.ndarray) -> list[np.ndarray]:
     """Prefactored correlators (see :func:`correlator`) over a time grid.
 
     Each coefficient tuple's permutation expansion is formed once; every
-    chunk builds F(|c| t) once per distinct |c| (F(-ct) is its conjugate)
-    and shares loop traces between the tuples.
+    chunk builds H(|c| t) once per distinct |c| and shares loop traces
+    between the tuples.
     """
     expansions = [_expansion(coeffs) for coeffs in coeff_sets]
     keys = {key for terms in expansions for _, loops in terms for key in loops}
-    coeffs = {c for key in keys for c in key}
+    scales = {abs(c) for key in keys for c in key}
     out = [np.empty(times.size) for _ in coeff_sets]
     for sl in _chunks(d, times.size):
-        stacks = {
-            s: _finite(_f_stack(d, s * times[sl]), f"F at d={d}")
-            for s in {abs(c) for c in coeffs}
-        }
-        mats = {c: stacks[c] if c > 0 else stacks[-c].conj() for c in coeffs}
-        traces = _loop_traces(keys, mats)
+        stacks = {s: _finite(_h_stack(d, s * times[sl]), f"F at d={d}") for s in scales}
+        traces = _loop_traces(keys, stacks, d)
         for total, terms in zip(out, expansions):
             acc = 0.0
             for sign, loops in terms:
@@ -305,7 +306,8 @@ def chi_curve(statistics: str, d: int, times) -> np.ndarray:
 
     GUE:      <chi(t)> = d(d-1) <e^{i(E1-E2)t}> + d
                        = (Tr F)^2 - Tr[F(t) F(-t)] + d
-                       = (Tr F)^2 - sum_ij |F_ij|^2 + d,
+                       = (Tr F)^2 - sum_ij |F_ij|^2 + d
+                       = Tr(S H)^2 - sum_ij H_ij^2 + d,
     exact because F is symmetric and F(-t) = conj F(t); O(d^2) per time.
 
     POISSON:  d + d(d-1) / ((d+1) t^2 + 1), uncorrelated energies with the
@@ -320,10 +322,10 @@ def chi_curve(statistics: str, d: int, times) -> np.ndarray:
     else:
         out = np.empty(times.size)
         for sl in _chunks(d, times.size):
-            g = _g_stack(d, times[sl])
+            h = _h_stack(d, times[sl])
             with np.errstate(over="ignore", invalid="ignore"):
-                tr = np.trace(g, axis1=1, axis2=2)
-                out[sl] = tr * tr - np.einsum("tij,tij->t", g, g) + d
+                tr = _trace_s(h)
+                out[sl] = tr * tr - np.einsum("tij,tij->t", h, h) + d
     return _finite(out, f"<chi> at d={d}")
 
 

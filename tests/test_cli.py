@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from guedyn.cli import main
 
 
@@ -216,3 +218,27 @@ class TestConfigFile:
         values = column(out, "chi_d4")
         for t, value in zip([0.0, 0.25, 0.5, 0.75, 1.0], values):
             assert value == chi_mean(4, t)  # 17 significant digits round-trip
+
+
+class TestAtomicOutput:
+    def test_failed_manifest_dump_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "chi.csv")
+        argv = ["analytic", "chi", "--d", "4", "--t-max", "1", "--out", out]
+        assert main(argv) == 0
+        with open(out + ".manifest.json") as fh:
+            manifest = fh.read()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"tool": ')
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(argv)
+        with open(out + ".manifest.json") as fh:
+            assert fh.read() == manifest
+        assert sorted(os.listdir(tmp_path)) == ["chi.csv", "chi.csv.manifest.json"]
+        os.unlink(out + ".manifest.json")
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(argv)
+        assert sorted(os.listdir(tmp_path)) == ["chi.csv"]

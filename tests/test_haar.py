@@ -10,7 +10,6 @@ from guedyn.haar import (
     chi_of_spectrum,
     compute_Q,
     compute_R,
-    evaluate_average,
     haar_average_moment,
     purity_closed_form,
     rho_coefficients_closed_form,
@@ -187,7 +186,7 @@ class TestThirdMoment:
             energies = rng.normal(size=4)
             t = rng.uniform(0.0, 5.0)
             want = third_moment_closed_form(2, 2, energies, t)
-            assert abs(evaluate_average(avg, energies, t) - want) <= 1e-9
+            assert abs(avg.evaluate(energies, t) - want) <= 1e-9
 
     def test_n3_at_d6(self):
         rng = np.random.default_rng(7)

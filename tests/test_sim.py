@@ -177,6 +177,24 @@ class TestPurity:
         assert abs(purity(np.diag([0.75, 0.25])) - 0.625) < 1e-15
 
 
+class TestStacks:
+    def test_partial_trace_and_purity_over_a_time_stack(self):
+        gen = RngStream(30, 0).generator()
+        h = sample_gue(12, 1.0, gen)
+        states = evolve(h, haar_state(12, gen), np.linspace(0.0, 4.0, 9))
+        rhos = partial_trace(states, 3, 4)
+        purities = purity(rhos)
+        assert rhos.shape == (9, 3, 3) and purities.shape == (9,)
+        for k, psi in enumerate(states):
+            assert np.max(np.abs(rhos[k] - partial_trace(psi, 3, 4))) <= 1e-15
+            assert abs(purities[k] - purity(rhos[k])) <= 1e-15
+        assert type(purity(rhos[0])) is float
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            partial_trace(np.zeros((4, 5)), 2, 3)
+
+
 class TestCompletionUnitary:
     def test_unitary_with_given_first_column(self):
         gen = RngStream(14, 0).generator()
@@ -298,6 +316,47 @@ class TestMcAverage:
         for k in (0, 23, 60):
             rho = u_a.conj().T @ partial_trace(psi_t[k], 4, 2) @ u_a
             assert np.max(np.abs(result.rho_mean[k] - rho)) < 1e-12
+
+class TestStableStderr:
+    times = np.array([0.0, 0.01, 0.5, 1.0, 3.0])
+
+    @staticmethod
+    def gue_sampler(gen):
+        return sample_gue(4, 1.0, gen)
+
+    def test_zero_spread_gives_zero_stderr(self):
+        h = sample_gue(4, 1.0, RngStream(31, 0))
+        result = mc_average(lambda gen: h, 2, 2, self.times, 5, RngStream(31),
+                            initial_state="e1")
+        assert np.all(result.rho_stderr == 0.0)
+        assert np.all(result.purity_stderr == 0.0)
+
+    def test_pure_start_has_no_roundoff_stderr(self):
+        # every sample's purity is 1 at t = 0; sum p^2 - n mean^2 left 3.7e-9
+        result = mc_average(lambda gen: sample_gue(32, 1.0, gen), 4, 8,
+                            [0.0, 0.01, 1.0], 40, RngStream(3))
+        assert result.purity_stderr[0] <= 1e-14
+        assert np.max(result.rho_stderr[0]) <= 1e-14
+
+    def test_matches_two_pass_std(self):
+        n = 30
+        result = mc_average(self.gue_sampler, 2, 2, self.times, n, RngStream(32))
+        samples = [mc_average(self.gue_sampler, 2, 2, self.times, 1, RngStream(32),
+                              stream_offset=i) for i in range(n)]
+        rho = np.array([r.rho_mean for r in samples])
+        pur = np.array([r.purity_mean for r in samples])
+        live = self.times > 0  # at t = 0 the spread is roundoff
+        want_rho = np.std(rho, axis=0, ddof=1) / math.sqrt(n)
+        want_pur = np.std(pur, axis=0, ddof=1) / math.sqrt(n)
+        assert np.allclose(result.rho_stderr[live], want_rho[live], rtol=1e-12, atol=0)
+        assert np.allclose(result.purity_stderr[live], want_pur[live], rtol=1e-12, atol=0)
+
+    def test_thread_count_invariance(self):
+        one = mc_average(self.gue_sampler, 2, 2, self.times, 24, RngStream(33), threads=1)
+        three = mc_average(self.gue_sampler, 2, 2, self.times, 24, RngStream(33), threads=3)
+        for field in ("rho_mean", "rho_stderr", "purity_mean", "purity_stderr"):
+            assert np.array_equal(getattr(one, field), getattr(three, field))
+
 
 class TestGapStatistics:
     def test_ratios_bounded(self):

@@ -1,7 +1,9 @@
 """F-matrix, correlators and averaged curves against independent oracles."""
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -594,3 +596,114 @@ class TestLateTime:
         # past t = 2 sqrt(d) + 4 the correlator term has decayed below 1e-9 d
         t = 2 * math.sqrt(d) + 4 + u
         assert abs(chi_mean(d, t) - d) <= 1e-9 * d
+
+
+def cycles_of(perm):
+    """The cycles of a permutation of range(n), as lists of positions."""
+    seen = set()
+    for start in range(len(perm)):
+        cycle = []
+        j = start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = perm[j]
+        if cycle:
+            yield cycle
+
+
+def permutation_expansion(coeffs, mats, trace):
+    """sum over S_n of sign * prod over cycles of trace(prod_j mats[c_j]):
+    the distinct-index correlator, written out with no memoisation."""
+    n = len(coeffs)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        cycles = list(cycles_of(perm))
+        term = (-1) ** (n - len(cycles))
+        for cycle in cycles:
+            prod = mats[coeffs[cycle[0]]]
+            for j in cycle[1:]:
+                prod = prod @ mats[coeffs[j]]
+            term = term * trace(prod)
+        total = total + term
+    return total
+
+
+class TestRealFormAgainstComplexF:
+    """correlator works on the real stack H; the oracle multiplies the complex
+    F(c t) matrices of f_matrix around every cycle of every permutation."""
+
+    @pytest.mark.parametrize("coeffs", [(1, -1, 1, -1), (3, -1, -1, -1),
+                                        (1, 1, 1, -1, -2), (2, 2, -1, -1, -2)])
+    @pytest.mark.parametrize("d", [5, 8])
+    def test_correlator(self, coeffs, d):
+        scale = math.factorial(d) / math.factorial(d - len(coeffs))
+        for t in (-1.7, -0.4, 0.6, 2.3):
+            mats = {c: f_matrix(d, c * t) for c in set(coeffs)}
+            want = permutation_expansion(coeffs, mats, np.trace)
+            assert abs(want.imag) <= 1e-12 * scale
+            assert abs(correlator(coeffs, d, t) - want.real) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 30, 80])
+    def test_trace_f_against_scipy_laguerre(self, d):
+        for t in (-2.5, 0.3, 1.0, 4.0, 9.0):
+            want = math.exp(-t * t / 2) * eval_genlaguerre(d - 1, 1, t * t)
+            assert abs(trace_f(d, t) - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def f_mp(d, t):
+    """F(t) from the explicit sum over a of the module docstring, in mpmath."""
+    it = mp.mpc(0, t)
+    pref = mp.exp(-mp.mpf(t) ** 2 / 2)
+    fac = [mp.factorial(n) for n in range(d)]
+    out = mp.matrix(d, d)
+    for mu in range(d):
+        for nu in range(mu, d):
+            acc = mp.fsum(it ** (mu + nu - 2 * a) / (fac[a] * fac[mu - a] * fac[nu - a])
+                          for a in range(mu + 1))
+            out[mu, nu] = out[nu, mu] = pref * mp.sqrt(fac[mu] * fac[nu]) * acc
+    return out
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def xi_mp(d, t):
+    """<|iota(t)^2 + iota(2t)|^2 - 4 |iota(t)|^2> at 50 digits, from the
+    definition: each sum over index tuples is split by set partitions of the
+    positions into distinct-index correlators, which are expanded over
+    permutations with 50-digit F matrices.  Shares no code or decomposition
+    with xi_curve."""
+    with mp.workdps(50):
+        mats = {c: f_mp(d, c * t) for c in range(-2, 3)}
+
+        def trace(m):
+            return mp.fsum(m[i, i] for i in range(m.rows))
+
+        def full_sum(coeffs):
+            return mp.fsum(
+                permutation_expansion(tuple(sum(coeffs[j] for j in b) for b in part), mats, trace)
+                for part in set_partitions(list(range(len(coeffs))))
+            )
+
+        total = (full_sum((1, 1, -1, -1)) + 2 * full_sum((1, 1, -2)).real
+                 + full_sum((2, -2)) - 4 * full_sum((1, -1)))
+        return float(total.real)
+
+
+class TestXiHighPrecision:
+    @pytest.mark.parametrize("d", [5, 12])
+    def test_xi_against_50_digit_oracle(self, d):
+        ts = np.array([-0.8, 1.1, 2.7])
+        got = xi_curve("GUE", d, ts)
+        for t, value in zip(ts, got):
+            want = xi_mp(d, float(t))
+            assert abs(value - want) <= 1e-13 * abs(want)
