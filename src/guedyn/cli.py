@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, haar, models, spectral, symgroup
 from .errors import NumericalError
-from .sim import RngStream, gap_statistics
+from .sim import RngStream, _one_blas_thread, gap_statistics
 
 ANALYTIC_KINDS = (
     "chi",
@@ -198,6 +198,7 @@ def run_montecarlo(args, config):
         time.time() - t0,
         n_samples=result.n_samples,
         energy_scale=result.energy_scale,
+        stages_s=result.stages,
     )
     _write_output(args.out, args.format, cols, rows, manifest)
     print(f"wrote {args.out} ({len(rows)} rows, {args.samples} samples)")
@@ -208,10 +209,11 @@ def run_gaps(args, config):
     t0 = time.time()
     spec = _model_spec(args)
     sampler = models.make_sampler(spec)
-    spectra = [
-        np.linalg.eigvalsh(sampler(RngStream(args.seed, i).generator()))
-        for i in range(args.samples)
-    ]
+    with _one_blas_thread:
+        spectra = [
+            np.linalg.eigvalsh(sampler(RngStream(args.seed, i).generator()))
+            for i in range(args.samples)
+        ]
     stats = gap_statistics(spectra)
     counts, edges = np.histogram(stats.gaps, bins=args.bins)
     weights = counts / counts.sum()
@@ -255,6 +257,7 @@ def run_distance(args, config):
 
     ordered = ["GUE", "POISSON"] + [f for f in requested if f not in ("GUE", "POISSON")]
     traces = {}
+    stages = {}
     for idx, fam in enumerate(ordered):
         spec = models.ModelSpec(fam, d_a, d_b, couplings)
         result = models.ensemble_dynamics(
@@ -266,6 +269,8 @@ def run_distance(args, config):
             stream_offset=idx * args.samples,
         )
         traces[fam] = models.DynamicsTrace.from_mc(result)
+        for stage, seconds in result.stages.items():
+            stages[stage] = stages.get(stage, 0.0) + seconds
         print(f"{fam}: sampled {args.samples} systems")
     denom_gue = models.distance_d6(traces["GUE"], an_gue)
     denom_poi = models.distance_d6(traces["POISSON"], an_poi)
@@ -292,6 +297,7 @@ def run_distance(args, config):
         time.time() - t0,
         denominator_gue=denom_gue,
         denominator_poisson=denom_poi,
+        stages_s=stages,
     )
     _write_output(args.out, args.format, cols, rows, manifest)
     print(f"wrote {args.out}")

@@ -35,6 +35,7 @@ from .sim import (
     MCResult,
     RngStream,
     _check_counts,
+    _one_blas_thread,
     mc_average,
     sample_gue,
     sample_haar_unitary,
@@ -546,7 +547,9 @@ def ensemble_dynamics(
     factor, estimated from a pilot pass over the same per-sample streams so
     that pooled <(E_i - E_j)^2> = 2(d+1); the pilot takes Tr H and Tr H^2
     of each sample and diagonalises nothing.  The Gaussian and Poisson
-    baselines are calibrated analytically and skip the pilot pass.
+    baselines are calibrated analytically and skip the pilot pass.  The
+    pilot and the Monte Carlo run under one OpenBLAS thread, as
+    :func:`guedyn.sim.mc_average` documents.
     """
     _check_counts(n_samples, threads)
     times = np.asarray(times, dtype=float)
@@ -555,10 +558,11 @@ def ensemble_dynamics(
     if spec.family in SPIN_FAMILIES:
         tot = np.empty(n_samples)
         sq = np.empty(n_samples)
-        for i in range(n_samples):
-            h = sampler(RngStream(rng.master_seed, stream_offset + i).generator())
-            tot[i] = np.trace(h).real
-            sq[i] = np.vdot(h, h).real
+        with _one_blas_thread:
+            for i in range(n_samples):
+                h = sampler(RngStream(rng.master_seed, stream_offset + i).generator())
+                tot[i] = np.trace(h).real
+                sq[i] = np.vdot(h, h).real
         scale = _moment_scale(spec.d, tot, sq)
     return mc_average(
         sampler,

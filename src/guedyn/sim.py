@@ -2,15 +2,28 @@
 
 Reproducibility contract: every sample of an ensemble run owns a
 counter-based random stream derived from ``(master_seed, sample_index)``
-via the Philox generator.  Per-sample work is independent, and the
-reduction is performed in sample-index order, so results are bit-identical
-regardless of the number of worker threads.
+via the Philox generator, so its draws do not depend on how samples are
+grouped.  :func:`mc_average` works on blocks of consecutive samples, whose
+length is set by the input size alone (``_BLOCK_ENTRIES``); each sample's
+arithmetic is the same in any block, and the reduction adds the samples
+strictly in sample-index order.  Results are therefore bit-identical for
+any block length and any number of worker threads.  The run holds numpy's
+bundled OpenBLAS at one thread (restored afterwards), because the LAPACK
+rounding depends on its thread count; the output then depends on the
+inputs alone, not on ``OPENBLAS_NUM_THREADS``.  Where that library is not
+found the thread count is left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +56,25 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
+        return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _key(self) -> np.ndarray:
+        return np.array(
             [self.master_seed % 2**64, self.stream_id % 2**64], dtype=np.uint64
         )
-        return np.random.Generator(np.random.Philox(key=key))
+
+
+def _restart(bitgen, stream: RngStream) -> None:
+    # Put a Philox bit generator at the start of ``stream``: the same draws
+    # as ``stream.generator()``, for a quarter of the cost of building one.
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": stream._key()},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -115,39 +143,66 @@ def haar_state(d: int, rng=None) -> np.ndarray:
 def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     """Schroedinger evolution psi(t) = V e^{-i Lambda t} V^dag psi0.
 
-    ``times`` may be a scalar or a 1d array; the eigendecomposition is done
-    once and reused for every requested time.  Returns shape (d,) for a
-    scalar time, else (len(times), d).
+    ``H`` is (..., d, d) and ``psi0`` is (..., d) with the same leading
+    batch axes; each Hamiltonian evolves its own state.  ``times`` may be a
+    scalar or a 1d array; each eigendecomposition is done once and reused
+    for every requested time.  Returns (..., d) for a scalar time, else
+    (..., len(times), d).
     """
     H = np.asarray(H)
     psi0 = np.asarray(psi0, dtype=complex)
-    if H.shape != (psi0.size, psi0.size):
+    if psi0.ndim < 1 or H.shape != psi0.shape + psi0.shape[-1:]:
         raise ValueError("dimension mismatch between H and psi0")
     energies, basis = np.linalg.eigh(H)
-    scalar = np.isscalar(times) or np.ndim(times) == 0
+    scalar = np.ndim(times) == 0
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    coeff = basis.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(energies, ts))  # (d, T)
-    out = (basis @ (coeff[:, None] * phases)).T  # (T, d)
-    return out[0] if scalar else out
+    coeff = psi0[..., None, :] @ basis.conj()  # (..., 1, d): V^dag psi0
+    # e^{-iEt} = cos(-Et) + i sin(-Et), written in place and then scaled by
+    # the coefficients; glibc's complex exp returns these same values, at
+    # more cost
+    angles = (-ts)[:, None] * energies[..., None, :]  # (..., T, d)
+    phases = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    phases *= coeff
+    out = phases @ basis.swapaxes(-1, -2)
+    return out[..., 0, :] if scalar else out
+
+
+# Largest state length whose partial trace is taken entry by entry over the
+# whole stack rather than by one matrix product per state.
+_SMALL_STATE = 8
 
 
 def partial_trace(psi: np.ndarray, d_A: int, d_B: int) -> np.ndarray:
     """Reduced density matrix of A from a pure state on A x B.
 
-    Basis convention is A-major: full index k = k_A * d_B + k_B.  A (T, d)
-    stack of states gives the (T, d_A, d_A) stack of reduced matrices.
+    Basis convention is A-major: full index k = k_A * d_B + k_B.  The state
+    is read from the last axis, so a (..., d) stack of states gives the
+    (..., d_A, d_A) stack of reduced matrices.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != d_A * d_B:
         raise ValueError(f"state length {psi.shape[-1]} != d_A*d_B = {d_A * d_B}")
     m = psi.reshape(psi.shape[:-1] + (d_A, d_B))
-    return np.einsum("...aq,...bq->...ab", m, m.conj())
+    mc = m.conj()
+    if d_A * d_B > _SMALL_STATE:
+        return m @ mc.swapaxes(-1, -2)
+    # Small states: a BLAS call per state costs more than its product, so
+    # form each entry sum_q m_aq conj(m_bq) over the whole stack at once.
+    rho = np.empty(m.shape[:-1] + (d_A,), dtype=complex)
+    for a in range(d_A):
+        for b in range(d_A):
+            entry = m[..., a, 0] * mc[..., b, 0]
+            for q in range(1, d_B):
+                entry += m[..., a, q] * mc[..., b, q]
+            rho[..., a, b] = entry
+    return rho
 
 
 def purity(rho: np.ndarray) -> float | np.ndarray:
     """Tr rho^2 of a Hermitian density matrix (Frobenius norm squared); an
-    array over a (T, d_A, d_A) stack."""
+    array over the leading axes of a (..., d_A, d_A) stack."""
     rho = np.asarray(rho)
     out = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
     return float(out) if rho.ndim == 2 else out
@@ -179,7 +234,13 @@ def completion_unitary(psi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MCResult:
-    """Per-time-point ensemble means and standard errors."""
+    """Per-time-point ensemble means and standard errors.
+
+    ``stages`` holds the CPU seconds spent drawing samples (``draw``), in
+    evolution, partial trace and purity (``evolve``) and in the reduction
+    (``reduce``), each summed over the threads that did the work; time a
+    worker spends waiting for the interpreter lock is not counted.
+    """
 
     times: np.ndarray
     rho_mean: np.ndarray  # (T, d_A, d_A) complex
@@ -188,37 +249,115 @@ class MCResult:
     purity_stderr: np.ndarray  # (T,)
     n_samples: int
     energy_scale: float = 1.0
+    stages: dict[str, float] = field(default_factory=dict)
 
 
-def _single_run(sampler, d_A, d_B, times, stream, initial_state, scramble, scale):
-    gen = stream.generator()
-    H = np.asarray(sampler(gen))
+@functools.cache
+def _openblas():
+    # numpy's bundled OpenBLAS, if this process has loaded it: (get, set) of
+    # its thread count, else None.  RTLD_NOLOAD finds the loaded copy and
+    # never loads a second one.
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: numpy's OpenBLAS runs one thread inside it.
+
+    The thread count fixes the rounding of LAPACK calls, so sampled output
+    then depends on its inputs alone, and a thread pool over samples does
+    not oversubscribe the cores.  Nested and concurrent uses share one
+    pin; the count found on the outermost entry is restored on the last
+    exit, also when the body raises.  Without a known OpenBLAS this does
+    nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self):
+        api = _openblas()
+        if api is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = api[0]()
+                    api[1](1)
+                self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        api = _openblas()
+        if api is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    api[1](self._saved)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+# Samples per block: about this many complex state entries, d x len(times),
+# per block (6 samples at d = 4 on 601 times, 1 from d = 14).  Larger blocks
+# ran no faster at d = 4 and raised the peak memory of a run by a block's
+# temporaries (2**16 entries: +11 MB).
+_BLOCK_ENTRIES = 2**14
+
+
+def _in_frame(H, u_a):
+    # (U^dag x I) H (U x I) by two left products with U^dag on the
+    # (d_A, d_B d) view: K = (U^dag x I) H, then (U^dag x I) K^dag, which is
+    # the rotated H because H is Hermitian.
+    d_A, d = u_a.shape[0], H.shape[0]
+    ud = u_a.conj().T
+    k = (ud @ H.reshape(d_A, -1)).reshape(d, d)
+    return (ud @ np.conjugate(k.T, order="C").reshape(d_A, -1)).reshape(d, d)
+
+
+def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scale):
+    # One block of consecutive samples.  Each sample draws from its own
+    # stream, in the order H, scramble unitary, psi_A, psi_B.  With a random
+    # product state, H is rotated into the frame of the completion unitary
+    # U_A of psi_A and evolved from e1 x psi_B, which gives U_A^dag rho_A U_A
+    # directly.  Then one evolve for the block.  Returns the (B, n) real
+    # samples (rho_A as real and imaginary parts, then the purities) and the
+    # draw and evolve seconds.
+    start = time.thread_time()
     d = d_A * d_B
-    if H.shape != (d, d):
-        raise ValueError(f"sampler returned shape {H.shape}, expected ({d}, {d})")
-    if scramble:
-        u = sample_haar_unitary(d, gen)
-        H = u @ H @ u.conj().T
-    if initial_state == "haar":
-        psi_a = haar_state(d_A, gen)
-        psi_b = haar_state(d_B, gen)
-        psi0 = np.kron(psi_a, psi_b)
-        u_a = completion_unitary(psi_a)
-    elif initial_state == "e1":
-        psi0 = np.zeros(d, dtype=complex)
-        psi0[0] = 1.0
-        u_a = None
-    else:
-        raise ValueError(f"unknown initial_state: {initial_state!r}")
-
-    rho = partial_trace(evolve(H, psi0, scale * times.ravel()), d_A, d_B)
-    if u_a is not None:
-        # U^dag rho_t U for every t as two flat products over the (T*d_A, d_A)
-        # stack: rho_t U, then (U^dag M)^T = M^T conj(U) on the transposed stack
-        m = (rho.reshape(-1, d_A) @ u_a).reshape(rho.shape)
-        m = m.transpose(0, 2, 1).reshape(-1, d_A) @ u_a.conj()
-        rho = m.reshape(rho.shape).transpose(0, 2, 1)
-    return rho, purity(rho)
+    hs = np.empty((len(streams), d, d), dtype=complex)
+    psi0 = np.zeros((len(streams), d), dtype=complex)
+    gen = streams[0].generator()
+    for k, stream in enumerate(streams):
+        _restart(gen.bit_generator, stream)
+        H = np.asarray(sampler(gen))
+        if H.shape != (d, d):
+            raise ValueError(f"sampler returned shape {H.shape}, expected ({d}, {d})")
+        if scramble:
+            u = sample_haar_unitary(d, gen)
+            H = u @ H @ u.conj().T
+        if initial_state == "haar":
+            psi_a = haar_state(d_A, gen)
+            psi0[k, :d_B] = haar_state(d_B, gen)
+            H = _in_frame(H, completion_unitary(psi_a))
+        else:
+            psi0[k, 0] = 1.0
+        hs[k] = H
+    drawn = time.thread_time()
+    rho = partial_trace(evolve(hs, psi0, scale * times.ravel()), d_A, d_B)
+    x = np.concatenate((rho.reshape(len(streams), -1).view(float), purity(rho)), axis=1)
+    return x, drawn - start, time.thread_time() - drawn
 
 
 def _check_counts(n_samples, threads) -> None:
@@ -249,48 +388,78 @@ def mc_average(
     product initial state, rho_A is reported in the rotated basis whose
     first vector is the sampled |1_A>, matching the analytic coefficient
     decomposition; ``initial_state="e1"`` keeps the computational basis.
-    ``threads`` must be >= 1; at most ``n_samples`` worker threads run.
+    ``threads`` must be >= 1; each worker thread takes whole blocks of
+    consecutive samples, and OpenBLAS runs one thread throughout.
     """
     _check_counts(n_samples, threads)
+    if initial_state not in ("haar", "e1"):
+        raise ValueError(f"unknown initial_state: {initial_state!r}")
     times = np.asarray(times, dtype=float)
     streams = [
         RngStream(rng.master_seed, stream_offset + i) for i in range(n_samples)
     ]
+    step = max(1, _BLOCK_ENTRIES // (d_A * d_B * times.size))
+    blocks = [streams[i : i + step] for i in range(0, n_samples, step)]
 
-    def job(stream):
+    def job(block):
         return _single_run(
-            sampler, d_A, d_B, times, stream, initial_state, scramble, energy_scale
+            sampler, d_A, d_B, times, block, initial_state, scramble, energy_scale
         )
 
-    workers = min(threads, n_samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(job, streams)
-            return _reduce(times, results, n_samples, energy_scale)
-    return _reduce(times, map(job, streams), n_samples, energy_scale)
+    workers = min(threads, len(blocks))
+    with _one_blas_thread:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return _reduce(times, pool.map(job, blocks), n_samples, energy_scale, d_A)
+        return _reduce(times, map(job, blocks), n_samples, energy_scale, d_A)
 
 
-def _reduce(times, results, n_samples, energy_scale) -> MCResult:
-    # Per quantity (rho, purity): the sum, and the sums of the deviations
-    # from the first sample and of their squared moduli.  This shifted form
-    # of the sample variance gives exactly 0 for a spread that is exactly 0,
-    # where sum x^2 - n mean^2 leaves roundoff.
-    acc = first = None
-    for sample in results:  # fixed order: bit-identical for any thread count
-        if acc is None:
-            first = sample
-            acc = [(np.zeros_like(x), np.zeros_like(x), np.zeros(x.shape)) for x in sample]
-        for x, x0, (s, s1, s2) in zip(sample, first, acc):
-            dev = x - x0
-            s += x
-            s1 += dev
-            s2 += dev.real**2 + dev.imag**2
+def _reduce(times, blocks, n_samples, energy_scale, d_A) -> MCResult:
+    # Per real component of the samples: the sum, and the sums of the
+    # deviations from the first sample and of their squares.  This shifted
+    # form of the sample variance gives exactly 0 for a spread that is
+    # exactly 0, where sum x^2 - n mean^2 leaves roundoff.  np.add.reduce
+    # over the sample axis, seeded with the running sums, adds strictly in
+    # sample order, because that axis is never the innermost (a sample has
+    # at least 3 components); so the bytes depend neither on the block
+    # length nor on the thread count.
+    s = s1 = s2 = first = None
+    stages = {"draw": 0.0, "evolve": 0.0, "reduce": 0.0}
+    for x, draw_s, evolve_s in blocks:  # block order
+        start = time.thread_time()
+        if first is None:
+            first = x[0].copy()
+            s = s1 = s2 = np.zeros(x.shape[1])
+        buf = np.empty((len(x) + 1, x.shape[1]))
+        buf[0], buf[1:] = s, x
+        s = np.add.reduce(buf, axis=0)
+        dev = np.subtract(x, first, out=buf[1:])
+        buf[0] = s1
+        s1 = np.add.reduce(buf, axis=0)
+        np.multiply(dev, dev, out=dev)
+        buf[0] = s2
+        s2 = np.add.reduce(buf, axis=0)
+        stages["draw"] += draw_s
+        stages["evolve"] += evolve_s
+        stages["reduce"] += time.thread_time() - start
     n = n_samples
-    (rho_mean, rho_stderr), (p_mean, p_stderr) = [
-        (s / n, np.sqrt(np.maximum(s2 - (s1.real**2 + s1.imag**2) / n, 0.0) / max(n - 1, 1) / n))
-        for s, s1, s2 in acc
-    ]
-    return MCResult(times, rho_mean, rho_stderr, p_mean, p_stderr, n, energy_scale)
+    m = 2 * times.size * d_A * d_A  # real components of the rho stack
+    # squared moduli of the complex rho entries: real part plus imaginary part
+    sq1 = np.concatenate(((s1[:m] ** 2).reshape(-1, 2).sum(axis=1), s1[m:] ** 2))
+    sq2 = np.concatenate((s2[:m].reshape(-1, 2).sum(axis=1), s2[m:]))
+    stderr = np.sqrt(np.maximum(sq2 - sq1 / n, 0.0) / max(n - 1, 1) / n)
+    k = m // 2
+    shape = (times.size, d_A, d_A)
+    return MCResult(
+        times,
+        s[:m].view(complex).reshape(shape) / n,
+        stderr[:k].reshape(shape),
+        s[m:] / n,
+        stderr[k:],
+        n,
+        energy_scale,
+        stages,
+    )
 
 
 @dataclass

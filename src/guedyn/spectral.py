@@ -200,16 +200,18 @@ def trace_f(d: int, t: float) -> float:
     return _finite(float(tr[0]), f"Tr F({t}) at d={d}")
 
 
-def _canonical_loop(cs: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical_loop(cs: tuple[int, ...]) -> tuple[tuple[int, bool], ...]:
     # Traces of loops of symmetric matrices are invariant under rotation
-    # and reversal; use the lexicographic minimum as the memo key.
-    best = None
-    for seq in (cs, cs[::-1]):
-        for r in range(len(seq)):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
+    # and reversal: take the lexicographic minimum.  In the real form (see
+    # _loop_traces) the product around it depends only on each |c| and on
+    # whether neighbouring signs match, so the memo key is that factor
+    # sequence, rotated to start at the first largest |c|.  Loops that give
+    # the same sequence, such as c and -c, share one trace.
+    best = min(seq[r:] + seq[:r] for seq in (cs, cs[::-1]) for r in range(len(cs)))
+    n = len(best)
+    factors = [(abs(c), (c > 0) == (best[(j + 1) % n] > 0)) for j, c in enumerate(best)]
+    start = max(range(n), key=lambda j: factors[j][0])
+    return tuple(factors[start:] + factors[:start])
 
 
 @lru_cache(maxsize=64)
@@ -228,12 +230,13 @@ def _expansion(coeffs: tuple[int, ...]) -> tuple[tuple[float, tuple], ...]:
 def _loop_traces(keys, stacks, d: int) -> dict:
     """Traces over the chunk of the ordered products F(c_1 t) F(c_2 t) ...
 
-    Factor j is H(|c_j| t), times S on the right when c_{j+1} (cyclically)
-    has the same sign; one factor gives Tr(S H).  A longer loop is rotated
-    to start at its first largest |c| and split after n // 2 factors, so
-    <xi> needs only the runs H S H and H H at t.  Each run's product is
-    formed left to right by batched real matmul and kept for reuse within
-    the chunk, and Tr(A B) = sum_ij A_ij B_ji.
+    Each key is a loop's factor sequence from :func:`_canonical_loop`:
+    factor j, (|c_j|, same), is H(|c_j| t), times S on the right when
+    c_{j+1} (cyclically) has the same sign; one factor gives Tr(S H).  A
+    longer loop is split after n // 2 factors, so <xi> needs only the runs
+    H S H and H H at t.  Each run's product is formed left to right by
+    batched real matmul and kept for reuse within the chunk, and
+    Tr(A B) = sum_ij A_ij B_ji.
     """
     parity = _index_tables(d)[3]
     products = {}
@@ -241,12 +244,9 @@ def _loop_traces(keys, stacks, d: int) -> dict:
     for key in keys:
         n = len(key)
         if n == 1:
-            traces[key] = _trace_s(stacks[abs(key[0])])
+            traces[key] = _trace_s(stacks[key[0][0]])
             continue
-        factors = [(abs(c), (c > 0) == (key[(j + 1) % n] > 0)) for j, c in enumerate(key)]
-        start = max(range(n), key=lambda j: factors[j][0])
-        factors = tuple(factors[start:] + factors[:start])
-        runs = factors[: n // 2], factors[n // 2:]
+        runs = key[: n // 2], key[n // 2:]
         for run in runs:
             for i in range(1, len(run) + 1):
                 if run[:i] not in products:
@@ -266,7 +266,7 @@ def _correlators(coeff_sets, d: int, times: np.ndarray) -> list[np.ndarray]:
     """
     expansions = [_expansion(coeffs) for coeffs in coeff_sets]
     keys = {key for terms in expansions for _, loops in terms for key in loops}
-    scales = {abs(c) for key in keys for c in key}
+    scales = {c for key in keys for c, _ in key}
     out = [np.empty(times.size) for _ in coeff_sets]
     for sl in _chunks(d, times.size):
         stacks = {s: _finite(_h_stack(d, s * times[sl]), f"F at d={d}") for s in scales}

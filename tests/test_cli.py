@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import guedyn
 from guedyn.cli import main
 
 
@@ -242,3 +245,50 @@ class TestAtomicOutput:
         with pytest.raises(RuntimeError, match="disk full"):
             main(argv)
         assert sorted(os.listdir(tmp_path)) == ["chi.csv"]
+
+
+class TestRunReproducibility:
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--model", "SYK", "--dA", "2", "--dB", "4", "--samples", "9",
+         "--t-max", "1", "--dt", "0.25"],
+        ["distance", "--models", "GUE", "POISSON", "XXZ", "--dA", "2", "--dB", "4",
+         "--samples", "6", "--dt", "0.5"],
+    ])
+    def test_threads_change_only_timings(self, tmp_path, argv):
+        out = str(tmp_path / "run.csv")
+        runs = []
+        for threads in (1, 2):
+            assert main(argv + ["--threads", str(threads), "--out", out]) == 0
+            with open(out, "rb") as fh:
+                data = fh.read()
+            with open(out + ".manifest.json") as fh:
+                manifest = json.load(fh)
+            stages = manifest["summary"].pop("stages_s")
+            assert set(stages) == {"draw", "evolve", "reduce"}
+            assert all(v >= 0.0 for v in stages.values())
+            assert manifest.pop("wall_clock_s") >= 0.0
+            assert manifest["config"].pop("threads") == threads
+            runs.append((data, manifest))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--dA", "2", "--dB", "4", "--samples", "20"],
+        ["montecarlo", "--dA", "8", "--dB", "32", "--samples", "2", "--t-max", "1",
+         "--dt", "0.25"],
+        ["gaps", "--dA", "8", "--dB", "32", "--samples", "6"],
+    ])
+    def test_bytes_independent_of_openblas_threads(self, tmp_path, argv):
+        src = os.path.dirname(os.path.dirname(guedyn.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = []
+        for n in ("1", "2"):
+            out = str(tmp_path / f"blas{n}.csv")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "guedyn.cli", *argv, "--model", "SYK",
+                 "--seed", "3", "--out", out],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            with open(out, "rb") as fh:
+                outputs.append(fh.read())
+        assert outputs[0] == outputs[1]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from guedyn.haar import rho_coefficients_closed_form
 from guedyn.sim import (
@@ -383,3 +384,232 @@ class TestGapStatistics:
     def test_all_degenerate_raises(self):
         with pytest.raises(ValueError):
             gap_statistics([np.ones(4)])
+
+
+class TestStackApis:
+    """evolve, partial_trace and purity over leading batch axes."""
+
+    def test_evolve_stack_equals_per_slice(self):
+        gen = RngStream(40, 0).generator()
+        hs = sample_gue(6, 1.0, gen, size=4)
+        psi0 = np.array([haar_state(6, gen) for _ in range(4)])
+        times = np.linspace(-1.0, 5.0, 13)
+        stack = evolve(hs, psi0, times)
+        assert stack.shape == (4, 13, 6)
+        at_t = evolve(hs, psi0, 2.5)
+        assert at_t.shape == (4, 6)
+        for k in range(4):
+            assert np.max(np.abs(stack[k] - evolve(hs[k], psi0[k], times))) <= 1e-15
+            assert np.max(np.abs(at_t[k] - evolve(hs[k], psi0[k], 2.5))) <= 1e-15
+
+    def test_evolve_batch_mismatch(self):
+        with pytest.raises(ValueError):
+            evolve(np.zeros((2, 3, 3)), np.zeros((3, 3)), 1.0)
+        with pytest.raises(ValueError):
+            evolve(np.zeros((3, 3)), np.zeros((2, 3)), 1.0)
+
+    @pytest.mark.parametrize("d_A, d_B", [(2, 2), (2, 4), (1, 8), (3, 4), (4, 8)])
+    def test_partial_trace_and_purity_stack(self, d_A, d_B):
+        gen = RngStream(41, d_A * d_B).generator()
+        psi = gen.normal(size=(3, 5, d_A * d_B)) + 1j * gen.normal(size=(3, 5, d_A * d_B))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        rhos = partial_trace(psi, d_A, d_B)
+        purities = purity(rhos)
+        assert rhos.shape == (3, 5, d_A, d_A) and purities.shape == (3, 5)
+        for b in range(3):
+            for k in range(5):
+                m = psi[b, k].reshape(d_A, d_B)
+                want = m @ m.conj().T
+                assert np.max(np.abs(rhos[b, k] - want)) <= 1e-15
+                assert np.max(np.abs(rhos[b, k] - partial_trace(psi[b, k], d_A, d_B))) <= 1e-15
+                assert abs(purities[b, k] - purity(rhos[b, k])) <= 1e-15
+
+
+def _fields(result):
+    return [result.rho_mean, result.rho_stderr, result.purity_mean, result.purity_stderr]
+
+
+class TestBlockKernel:
+    """Block layout, thread count and dense per-time references."""
+
+    times = np.linspace(0.0, 6.0, 61)
+
+    @pytest.mark.parametrize("family, d_A, d_B", [("GUE", 2, 2), ("POISSON", 2, 2), ("SYK", 2, 4)])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_bit_identical_across_blocks_and_threads(self, monkeypatch, family, d_A, d_B, scramble):
+        from guedyn import models, sim
+
+        spec = models.ModelSpec(family, d_A, d_B)
+        n = 17  # blocks of 5 leave a short last block
+        results = []
+        for block in (1, 5, None):
+            if block is not None:
+                monkeypatch.setattr(sim, "_BLOCK_ENTRIES", block * spec.d * self.times.size)
+            else:
+                monkeypatch.undo()
+            for threads in (1, 2, 3):
+                results.append(models.ensemble_dynamics(
+                    spec, self.times, n, RngStream(42), threads=threads, scramble=scramble))
+        first = _fields(results[0])
+        for other in results[1:]:
+            for a, b in zip(first, _fields(other)):
+                assert np.array_equal(a, b)
+
+    def test_default_block_length(self):
+        from guedyn import sim
+
+        assert sim._BLOCK_ENTRIES // (4 * 601) >= 2  # d = 4 batches samples
+        assert sim._BLOCK_ENTRIES // (256 * 601) == 0  # d = 256 runs one at a time
+
+    @staticmethod
+    def dense_reference(h, psi0, d_A, d_B, t, u_a):
+        psi = scipy.linalg.expm(-1j * t * h) @ psi0
+        full = np.outer(psi, psi.conj()).reshape(d_A, d_B, d_A, d_B)
+        rho = np.trace(full, axis1=1, axis2=3)
+        return rho if u_a is None else u_a.conj().T @ rho @ u_a
+
+    @pytest.mark.parametrize("d_A", [2, 3, 4])
+    @pytest.mark.parametrize("initial_state, scramble", [("haar", False), ("haar", True),
+                                                         ("e1", False), ("e1", True)])
+    def test_one_sample_matches_dense_reference(self, d_A, initial_state, scramble):
+        d_B = 2
+        d = d_A * d_B
+        tpts = np.array([0.0, 0.37, 1.9, 4.25])
+        result = mc_average(lambda gen: sample_gue(d, 1.0, gen), d_A, d_B, tpts, 1,
+                            RngStream(43, 0), initial_state=initial_state, scramble=scramble,
+                            stream_offset=d_A)
+        gen = RngStream(43, d_A).generator()
+        h = sample_gue(d, 1.0, gen)
+        if scramble:
+            u = sample_haar_unitary(d, gen)
+            h = u @ h @ u.conj().T
+        if initial_state == "haar":
+            psi_a, psi_b = haar_state(d_A, gen), haar_state(d_B, gen)
+            psi0, u_a = np.kron(psi_a, psi_b), completion_unitary(psi_a)
+        else:
+            psi0, u_a = np.eye(d)[0].astype(complex), None
+        for k, t in enumerate(tpts):
+            want = self.dense_reference(h, psi0, d_A, d_B, t, u_a)
+            assert np.max(np.abs(result.rho_mean[k] - want)) <= 1e-12
+            assert abs(result.purity_mean[k] - np.sum(np.abs(want) ** 2)) <= 1e-12
+
+    def test_unknown_initial_state(self):
+        with pytest.raises(ValueError, match="initial_state"):
+            mc_average(lambda gen: sample_gue(4, 1.0, gen), 2, 2, self.times, 2,
+                       RngStream(0), initial_state="bell")
+
+
+class TestStageTimes:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stages_non_negative_and_within_cpu_and_wall(self, threads):
+        import time
+
+        wall, cpu = time.perf_counter(), time.process_time()
+        result = mc_average(lambda gen: sample_gue(4, 1.0, gen), 2, 2,
+                            np.linspace(0.0, 6.0, 601), 60, RngStream(44), threads=threads)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        assert set(result.stages) == {"draw", "evolve", "reduce"}
+        assert all(v >= 0.0 for v in result.stages.values())
+        total = sum(result.stages.values())
+        assert total <= cpu + 1e-3  # CPU time of the stages' own threads
+        # the workers, plus the main thread reducing while they run
+        assert total <= (threads + (threads > 1)) * wall
+
+
+class TestBlasPin:
+    """Monte Carlo runs with numpy's OpenBLAS at one thread, then restores it."""
+
+    @pytest.fixture
+    def blas(self):
+        from guedyn import sim
+
+        api = sim._openblas()
+        if api is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        get, put = api
+        before = get()
+        put(2)
+        try:
+            yield get
+        finally:
+            put(before)
+
+    def test_pinned_inside_and_restored_after(self, blas):
+        seen = []
+
+        def sampler(gen):
+            seen.append(blas())
+            return sample_gue(4, 1.0, gen)
+
+        mc_average(sampler, 2, 2, [0.0, 1.0], 3, RngStream(45), threads=2)
+        assert seen == [1, 1, 1]
+        assert blas() == 2
+
+    def test_restored_after_raise(self, blas):
+        def sampler(gen):
+            raise RuntimeError("sampler failed")
+
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            mc_average(sampler, 2, 2, [0.0, 1.0], 3, RngStream(46))
+        assert blas() == 2
+
+    def test_nested_pins_restore_once(self, blas):
+        from guedyn import models
+
+        seen = []
+        spec = models.ModelSpec("SYK", 2, 4)
+        real = models.build_model
+
+        def recording(spec_, rng):
+            seen.append(blas())
+            return real(spec_, rng)
+
+        models.build_model = recording
+        try:
+            models.ensemble_dynamics(spec, [0.0, 0.5], 2, RngStream(47))
+        finally:
+            models.build_model = real
+        assert seen and set(seen) == {1}  # pilot and Monte Carlo draws
+        assert blas() == 2
+
+
+class TestSampleOrderReduction:
+    def test_means_are_the_sample_order_sum(self, monkeypatch):
+        # One time and d_A = 1: a sample has 3 real components, the fewest
+        # possible, and 20 samples would be summed pairwise if the sample
+        # axis were reduced innermost.
+        from guedyn import sim
+
+        def sampler(gen):
+            return sample_gue(4, 1.0, gen)
+
+        n = 20
+        singles = [mc_average(sampler, 1, 4, [0.7], 1, RngStream(48), stream_offset=i)
+                   for i in range(n)]
+        rho_sum, pur_sum = 0.0, 0.0
+        for r in singles:
+            rho_sum = rho_sum + r.rho_mean
+            pur_sum = pur_sum + r.purity_mean
+        for block in (1, 7, n):
+            monkeypatch.setattr(sim, "_BLOCK_ENTRIES", block * 4)
+            result = mc_average(sampler, 1, 4, [0.7], n, RngStream(48))
+            assert np.array_equal(result.rho_mean, rho_sum / n)
+            assert np.array_equal(result.purity_mean, pur_sum / n)
+
+
+class TestStreamRestart:
+    def test_restart_matches_a_fresh_generator(self):
+        from guedyn.sim import _restart
+
+        gen = RngStream(50, 0).generator()
+        for seed, sid in ((50, 3), (50, 0), (-7, 2**63 + 5)):
+            gen.random(dtype=np.float32)  # leaves half of a 64-bit word cached
+            gen.normal(size=3)
+            stream = RngStream(seed, sid)
+            _restart(gen.bit_generator, stream)
+            fresh = stream.generator()
+            assert np.array_equal(gen.normal(size=5), fresh.normal(size=5))
+            assert gen.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+            assert np.array_equal(gen.integers(0, 2**40, size=3),
+                                  fresh.integers(0, 2**40, size=3))
+            assert np.array_equal(gen.exponential(size=4), fresh.exponential(size=4))

@@ -707,3 +707,26 @@ class TestXiHighPrecision:
         for t, value in zip(ts, got):
             want = xi_mp(d, float(t))
             assert abs(value - want) <= 1e-13 * abs(want)
+
+
+class TestLoopKeys:
+    XI_SETS = [(1, -1), (2, -2), (2, -1, -1), (1, 1, -2), (1, 1, -1, -1)]
+
+    def test_sign_flip_shares_one_trace(self):
+        from guedyn.spectral import _canonical_loop, _expansion
+
+        keys = {key for cs in self.XI_SETS for _, loops in _expansion(cs) for key in loops}
+        for loop in [(1,), (2,), (1, 1), (-2, 1), (-2, 1, 1)]:
+            flipped = tuple(-c for c in loop)
+            assert _canonical_loop(loop) == _canonical_loop(flipped)
+            assert _canonical_loop(loop) in keys
+        # 16 keys when (1,) and (-1,), (1, 1) and (-1, -1), ... were apart
+        assert len(keys) == 11
+
+    def test_rotation_and_reversal_share_one_trace(self):
+        from guedyn.spectral import _canonical_loop
+
+        loop = (3, -1, 2, 2, -1)
+        same = {_canonical_loop(loop[r:] + loop[:r]) for r in range(5)}
+        same |= {_canonical_loop((loop[r:] + loop[:r])[::-1]) for r in range(5)}
+        assert len(same) == 1
