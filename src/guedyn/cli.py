@@ -1,8 +1,13 @@
 """Command-line frontend.
 
 Subcommands reproduce the underlying data of every figure-type quantity as
-CSV or JSON, with a sibling ``<out>.manifest.json`` recording the exact
-configuration, so any data file can be regenerated bit-identically.
+CSV or JSON, with a sibling ``<out>.manifest.json`` whose ``config`` records
+the value of every option of the run.  Each option is resolved the same way:
+the command line, else the ``--config`` file (a JSON object keyed by long-flag
+name, or a manifest), else the subcommand's entry in ``_DEFAULTS``.  Config
+keys that name no option of the subcommand are ignored.  So re-running a
+subcommand with ``--config <manifest>`` regenerates its data file
+bit-identically.
 
 Exit codes: 0 success, 2 argument error, 3 numerical error, 4 self-check
 failure.
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import __version__, haar, models, spectral, symgroup
 from .errors import NumericalError
-from .sim import RngStream, _one_blas_thread, gap_statistics
+from .sim import RngStream, _check_counts, _one_blas_thread, gap_statistics
 
 ANALYTIC_KINDS = (
     "chi",
@@ -81,20 +86,6 @@ def _write_output(path, fmt, columns, rows, manifest):
         fh.write("\n")
 
 
-def _manifest(command, config, columns, wall_clock, **summary):
-    out = {
-        "tool": "guedyn",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "wall_clock_s": wall_clock,
-        "columns": columns,
-    }
-    if summary:
-        out["summary"] = summary
-    return out
-
-
 def _time_grid(t_max, dt):
     if dt <= 0 or t_max < dt:
         raise ValueError("need dt > 0 and t-max >= dt")
@@ -105,23 +96,25 @@ def _col(name, provenance, units="dimensionless"):
     return {"name": name, "provenance": provenance, "units": units}
 
 
-def _pairs(args):
-    da, db = args.dA or [], args.dB or []
+def _pairs(cfg):
+    da, db = cfg["dA"] or [], cfg["dB"] or []
     if len(da) != len(db) or not da:
         raise ValueError("--dA and --dB must be given the same number of times")
     return list(zip(da, db))
 
 
-def run_analytic(args, config):
-    t0 = time.time()
-    kind = args.kind
+# Each runner takes the resolved config (long-flag names to values) and
+# returns the data table as (columns, rows, summary); ``main`` writes it.
+
+
+def run_analytic(cfg):
+    kind = cfg["kind"]
+    times = _time_grid(cfg["t-max"], cfg["dt"])
     if kind == "bessel":
-        times = _time_grid(args.t_max, args.dt)
-        power = args.power
+        power = cfg["power"]
         cols = [_col("tau", "analytic", "sqrt(d)*time"), _col(f"bessel_pow{power}", "analytic")]
         rows = [[tau, spectral.bessel_limit(tau, power)] for tau in times]
     else:
-        times = _time_grid(args.t_max, args.dt)
         cols = [_col("t", "analytic", "time, lambda=1 units")]
         series = []
         statistics = "POISSON" if kind.endswith("-poisson") else "GUE"
@@ -132,14 +125,14 @@ def run_analytic(args, config):
             "purity": spectral.purity_curve,
         }[kind.removesuffix("-poisson")]
         if kind in ("chi", "xi", "chi-poisson", "xi-poisson"):
-            ds = args.d or []
+            ds = cfg["d"] or []
             if not ds:
                 raise ValueError(f"analytic {kind} requires --d")
             for d in ds:
                 cols.append(_col(f"{kind.replace('-', '_')}_d{d}", "analytic"))
                 series.append(curve(statistics, d, times))
         else:
-            for d_a, d_b in _pairs(args):
+            for d_a, d_b in _pairs(cfg):
                 if kind == "rho":
                     cols.append(_col(f"rho_p1_dA{d_a}_dB{d_b}", "analytic"))
                     cols.append(_col(f"rho_pmix_dA{d_a}_dB{d_b}", "analytic"))
@@ -148,36 +141,27 @@ def run_analytic(args, config):
                     cols.append(_col(f"{kind.replace('-', '_')}_dA{d_a}_dB{d_b}", "analytic"))
                     series.append(curve(statistics, d_a, d_b, times))
         rows = [[t, *(s[i] for s in series)] for i, t in enumerate(times)]
-    _write_output(
-        args.out, args.format, cols, rows, _manifest("analytic", config, cols, time.time() - t0)
-    )
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+    return cols, rows, {}
 
 
-def _couplings(args):
-    return {
-        name: getattr(args, name)
-        for name in _COUPLING_FLAGS
-        if getattr(args, name) is not None
-    }
+def _couplings(cfg):
+    return {name: cfg[name] for name in _COUPLING_FLAGS if cfg[name] is not None}
 
 
-def _model_spec(args):
-    return models.ModelSpec(args.model, args.dA_single, args.dB_single, _couplings(args))
+def _model_spec(cfg):
+    return models.ModelSpec(cfg["model"], cfg["dA"], cfg["dB"], _couplings(cfg))
 
 
-def run_montecarlo(args, config):
-    t0 = time.time()
-    spec = _model_spec(args)
-    times = _time_grid(args.t_max, args.dt)
+def run_montecarlo(cfg):
+    spec = _model_spec(cfg)
+    times = _time_grid(cfg["t-max"], cfg["dt"])
     result = models.ensemble_dynamics(
         spec,
         times,
-        args.samples,
-        RngStream(args.seed),
-        threads=args.threads,
-        scramble=args.scramble,
+        cfg["samples"],
+        RngStream(cfg["seed"]),
+        threads=cfg["threads"],
+        scramble=cfg["scramble"],
     )
     cols = [_col("t", "monte-carlo", "time, lambda=1 units")]
     series = []
@@ -191,31 +175,24 @@ def run_montecarlo(args, config):
     series.append(result.purity_mean)
     series.append(result.purity_stderr)
     rows = [[t, *(s[i] for s in series)] for i, t in enumerate(times)]
-    manifest = _manifest(
-        "montecarlo",
-        config,
-        cols,
-        time.time() - t0,
-        n_samples=result.n_samples,
-        energy_scale=result.energy_scale,
-        stages_s=result.stages,
-    )
-    _write_output(args.out, args.format, cols, rows, manifest)
-    print(f"wrote {args.out} ({len(rows)} rows, {args.samples} samples)")
-    return 0
+    return cols, rows, {
+        "n_samples": result.n_samples,
+        "energy_scale": result.energy_scale,
+        "stages_s": result.stages,
+    }
 
 
-def run_gaps(args, config):
-    t0 = time.time()
-    spec = _model_spec(args)
+def run_gaps(cfg):
+    spec = _model_spec(cfg)
+    _check_counts(cfg["samples"], 1)
     sampler = models.make_sampler(spec)
     with _one_blas_thread:
         spectra = [
-            np.linalg.eigvalsh(sampler(RngStream(args.seed, i).generator()))
-            for i in range(args.samples)
+            np.linalg.eigvalsh(sampler(RngStream(cfg["seed"], i).generator()))
+            for i in range(cfg["samples"])
         ]
     stats = gap_statistics(spectra)
-    counts, edges = np.histogram(stats.gaps, bins=args.bins)
+    counts, edges = np.histogram(stats.gaps, bins=cfg["bins"])
     weights = counts / counts.sum()
     cols = [
         _col("bin_left", "monte-carlo", "mean-gap units"),
@@ -225,35 +202,24 @@ def run_gaps(args, config):
     rows = [
         [edges[i], edges[i + 1], weights[i]] for i in range(len(weights))
     ]
-    manifest = _manifest(
-        "gaps",
-        config,
-        cols,
-        time.time() - t0,
-        mean_ratio=stats.mean_ratio,
-        mean_ratio_stderr=stats.mean_ratio_stderr,
-        n_gaps=int(stats.gaps.size),
-        n_skipped=stats.n_skipped,
-    )
-    _write_output(args.out, args.format, cols, rows, manifest)
-    print(
-        f"wrote {args.out}; mean gap ratio = {stats.mean_ratio:.4f} "
-        f"+- {stats.mean_ratio_stderr:.4f}"
-    )
-    return 0
+    return cols, rows, {
+        "mean_ratio": stats.mean_ratio,
+        "mean_ratio_stderr": stats.mean_ratio_stderr,
+        "n_gaps": int(stats.gaps.size),
+        "n_skipped": stats.n_skipped,
+    }
 
 
-def run_distance(args, config):
-    t0 = time.time()
-    requested = args.models
+def run_distance(cfg):
+    requested = cfg["models"]
     for fam in requested:
         if fam not in models.FAMILIES:
             raise ValueError(f"unknown model family {fam!r}")
-    d_a, d_b = args.dA_single, args.dB_single
-    times = _time_grid(6.0, args.dt)
+    d_a, d_b, samples = cfg["dA"], cfg["dB"], cfg["samples"]
+    times = _time_grid(6.0, cfg["dt"])  # the fixed D6 window [0, 6]
     an_gue = models.analytic_gue_trace(d_a, d_b, times)
     an_poi = models.analytic_poisson_trace(d_a, d_b, times)
-    couplings = _couplings(args)
+    couplings = _couplings(cfg)
 
     ordered = ["GUE", "POISSON"] + [f for f in requested if f not in ("GUE", "POISSON")]
     traces = {}
@@ -263,15 +229,15 @@ def run_distance(args, config):
         result = models.ensemble_dynamics(
             spec,
             times,
-            args.samples,
-            RngStream(args.seed),
-            threads=args.threads,
-            stream_offset=idx * args.samples,
+            samples,
+            RngStream(cfg["seed"]),
+            threads=cfg["threads"],
+            stream_offset=idx * samples,
         )
         traces[fam] = models.DynamicsTrace.from_mc(result)
         for stage, seconds in result.stages.items():
             stages[stage] = stages.get(stage, 0.0) + seconds
-        print(f"{fam}: sampled {args.samples} systems")
+        print(f"{fam}: sampled {samples} systems")
     denom_gue = models.distance_d6(traces["GUE"], an_gue)
     denom_poi = models.distance_d6(traces["POISSON"], an_poi)
     cols = [
@@ -290,18 +256,11 @@ def run_distance(args, config):
                 models.distance_d6(traces[fam], an_poi) / denom_poi,
             ]
         )
-    manifest = _manifest(
-        "distance",
-        config,
-        cols,
-        time.time() - t0,
-        denominator_gue=denom_gue,
-        denominator_poisson=denom_poi,
-        stages_s=stages,
-    )
-    _write_output(args.out, args.format, cols, rows, manifest)
-    print(f"wrote {args.out}")
-    return 0
+    return cols, rows, {
+        "denominator_gue": denom_gue,
+        "denominator_poisson": denom_poi,
+        "stages_s": stages,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +409,11 @@ def _selfcheck_curves():
     yield "scaling limit at tau=0", ok, "exact 1" if ok else "MISMATCH"
 
 
-def run_selfcheck(args, config):
+def run_selfcheck(full):
     checks = []
     checks.extend(_selfcheck_table1())
     checks.extend(_selfcheck_table2())
-    checks.extend(_selfcheck_identities(args.full))
+    checks.extend(_selfcheck_identities(full))
     checks.extend(_selfcheck_curves())
     n_fail = 0
     for name, ok, detail in checks:
@@ -469,15 +428,24 @@ def run_selfcheck(args, config):
 # Argument plumbing.
 # ---------------------------------------------------------------------------
 
+# The defaults of every subcommand's options, keyed by long-flag name as in a
+# manifest's "config"; an option not listed here defaults to None.  argparse
+# itself leaves every option None when it is absent, so the command line, the
+# config file and this table are applied in that order and in one place.
 _DEFAULTS = {
-    "t-max": 6.0,
-    "dt": 0.01,
-    "samples": 1000,
-    "seed": 0,
-    "threads": 1,
-    "bins": 50,
-    "format": "csv",
-    "power": 2,
+    "analytic": {"power": 2, "t-max": 6.0, "dt": 0.01, "format": "csv"},
+    "montecarlo": {
+        "model": "GUE", "dA": 2, "dB": 2, "scramble": False, "t-max": 6.0,
+        "dt": 0.01, "samples": 1000, "seed": 0, "threads": 1, "format": "csv",
+    },
+    "gaps": {
+        "model": "GUE", "dA": 8, "dB": 8, "bins": 50, "samples": 1000, "seed": 0,
+        "format": "csv",
+    },
+    "distance": {
+        "models": list(models.SPIN_FAMILIES), "dA": 8, "dB": 32, "dt": 0.01,
+        "samples": 1000, "seed": 0, "threads": 1, "format": "csv",
+    },
 }
 
 _COUPLING_FLAGS = ("J", "B", "J1", "J2", "J3")
@@ -491,101 +459,110 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, monte=False):
-        p.add_argument("--config", help="JSON file of long-flag defaults")
-        p.add_argument("--t-max", type=float, dest="t_max")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
-        if monte:
-            p.add_argument("--samples", type=int)
-            p.add_argument("--seed", type=int)
-            p.add_argument("--threads", type=int)
-            for flag in _COUPLING_FLAGS:
-                p.add_argument(f"--{flag}", type=float)
+    def add(p, *flags, **kwargs):
+        for flag in flags:
+            p.add_argument(f"--{flag}", dest=flag, **kwargs)
 
-    p = sub.add_parser("analytic", help="closed-form curves")
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON file of long-flag values, or a manifest")
+        add(p, "out")
+        add(p, "format", choices=("csv", "json"))
+        return p
+
+    def sampling(p):
+        add(p, "samples", "seed", type=int)
+        add(p, *_COUPLING_FLAGS, type=float)
+
+    p = command("analytic", "closed-form curves")
     p.add_argument("kind", choices=ANALYTIC_KINDS)
-    p.add_argument("--d", type=int, action="append")
-    p.add_argument("--dA", type=int, action="append")
-    p.add_argument("--dB", type=int, action="append")
-    p.add_argument("--power", type=int, choices=(2, 4))
-    common(p)
-    p.set_defaults(func=run_analytic)
+    add(p, "d", "dA", "dB", type=int, action="append")
+    add(p, "power", type=int, choices=(2, 4))
+    add(p, "t-max", "dt", type=float)
 
-    p = sub.add_parser("montecarlo", help="sampled ensemble dynamics")
-    p.add_argument("--model", choices=models.FAMILIES, default="GUE")
-    p.add_argument("--dA", type=int, dest="dA_single", default=2)
-    p.add_argument("--dB", type=int, dest="dB_single", default=2)
-    p.add_argument("--scramble", action="store_true",
-                   help="conjugate each sample by a Haar unitary")
-    common(p, monte=True)
-    p.set_defaults(func=run_montecarlo)
+    p = command("montecarlo", "sampled ensemble dynamics")
+    add(p, "model", choices=models.FAMILIES)
+    add(p, "dA", "dB", type=int)
+    add(p, "scramble", action="store_true", default=None,
+        help="conjugate each sample by a Haar unitary")
+    add(p, "t-max", "dt", type=float)
+    sampling(p)
+    add(p, "threads", type=int)
 
-    p = sub.add_parser("gaps", help="level-spacing statistics")
-    p.add_argument("--model", choices=models.FAMILIES, default="GUE")
-    p.add_argument("--dA", type=int, dest="dA_single", default=8)
-    p.add_argument("--dB", type=int, dest="dB_single", default=8)
-    p.add_argument("--bins", type=int)
-    common(p, monte=True)
-    p.set_defaults(func=run_gaps)
+    p = command("gaps", "level-spacing statistics")
+    add(p, "model", choices=models.FAMILIES)
+    add(p, "dA", "dB", "bins", type=int)
+    sampling(p)
 
-    p = sub.add_parser("distance", help="dynamics distance to the baselines")
-    p.add_argument("--models", nargs="+", default=list(models.SPIN_FAMILIES))
-    p.add_argument("--dA", type=int, dest="dA_single", default=8)
-    p.add_argument("--dB", type=int, dest="dB_single", default=32)
-    common(p, monte=True)
-    p.set_defaults(func=run_distance)
+    p = command("distance", "dynamics distance to the baselines")
+    add(p, "models", nargs="+")
+    add(p, "dA", "dB", type=int)
+    add(p, "dt", type=float)
+    sampling(p)
+    add(p, "threads", type=int)
 
     p = sub.add_parser("selfcheck", help="run the exact identity suite")
     p.add_argument("--full", action="store_true",
                    help="include the (2n)! = 720 double-enumeration identity")
-    p.set_defaults(func=run_selfcheck)
     return parser
 
 
 def _resolve_config(args) -> dict:
-    """Merge CLI args (highest), config file, and defaults; echo the result."""
+    """Each option's value, keyed by long-flag name: the command line, else
+    the config file, else ``_DEFAULTS``."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         file_cfg = loaded.get("config", loaded)  # accept a manifest directly
-    echo = {}
-    for key, value in vars(args).items():
-        if key in ("func", "command", "config"):
+    defaults = _DEFAULTS[args.command]
+    config = {}
+    for flag, value in vars(args).items():
+        if flag in ("command", "config"):
             continue
-        flag = {"t_max": "t-max", "dA_single": "dA", "dB_single": "dB"}.get(key, key)
         if value is None:
-            if flag in file_cfg:
-                value = file_cfg[flag]
-            elif flag in _DEFAULTS:
-                value = _DEFAULTS[flag]
-        setattr(args, key, value)
-        echo[flag] = value
-    if getattr(args, "out", None) is None:
-        kind = getattr(args, "kind", None) or getattr(args, "model", None)
+            value = file_cfg[flag] if flag in file_cfg else defaults.get(flag)
+        config[flag] = value
+    if config["out"] is None:
+        kind = config.get("kind") or config.get("model")
         suffix = f"_{kind.lower()}" if kind else ""
-        args.out = f"guedyn_{args.command}{suffix}.{args.format}"
-        echo["out"] = args.out
-    return echo
+        config["out"] = f"guedyn_{args.command}{suffix}.{config['format']}"
+    return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command != "selfcheck":
-            config = _resolve_config(args)
-        else:
-            config = {}
-        return args.func(args, config)
+        if args.command == "selfcheck":
+            return run_selfcheck(args.full)
+        config = _resolve_config(args)
+        runner = {
+            "analytic": run_analytic,
+            "montecarlo": run_montecarlo,
+            "gaps": run_gaps,
+            "distance": run_distance,
+        }[args.command]
+        t0 = time.time()
+        columns, rows, summary = runner(config)
+        manifest = {
+            "tool": "guedyn",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "wall_clock_s": time.time() - t0,
+            "columns": columns,
+        }
+        if summary:
+            manifest["summary"] = summary
+        _write_output(config["out"], config["format"], columns, rows, manifest)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    print(f"wrote {config['out']} ({len(rows)} rows)")
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from . import spectral
 from .sim import (
     MCResult,
     RngStream,
+    _as_generator,
     _check_counts,
     _one_blas_thread,
     mc_average,
@@ -254,11 +255,10 @@ def tfim_hamiltonian(s, J, rotation, g) -> np.ndarray:
     """Ising chain along a random axis with a transverse random field:
 
     sum_j (n1.sigma_j)(n1.sigma_{j+1}) + J g (n3.sigma_j),
-    n1, n3 the first and third rows of one global rotation.
+    n1, n3 the first and third rows of one global rotation: the disordered
+    chain with the same frame and field on every site.
     """
-    rot = np.asarray(rotation, dtype=float)
-    site = np.concatenate([_bonds(rot[0], rot[0]), J * g * rot[2]])
-    return _chain_table(s, 1).matrix(np.tile(site, s))
+    return dtfim_hamiltonian(s, J, [rotation] * s, [rotation] * s, np.full(s, g))
 
 
 def dtfim_hamiltonian(s, J, rotations_x, rotations_y, g) -> np.ndarray:
@@ -271,17 +271,11 @@ def dtfim_hamiltonian(s, J, rotations_x, rotations_y, g) -> np.ndarray:
 
 
 def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
-    """XXZ chain in one random frame with anisotropy J g and field B h."""
-    rot = np.asarray(rotation, dtype=float)
-    site = np.concatenate(
-        [
-            _bonds(rot[0], rot[0]),
-            _bonds(rot[1], rot[1]),
-            _bonds(rot[2], rot[2], J * g),
-            B * h * rot[2],
-        ]
+    """XXZ chain in one random frame with anisotropy J g and field B h: the
+    disordered chain with the same frame and scalars on every site."""
+    return dxxz_hamiltonian(
+        s, B, J, [rotation] * s, [rotation] * s, np.full(s, g), np.full(s, h)
     )
-    return _chain_table(s, 3).matrix(np.tile(site, s))
 
 
 def dxxz_hamiltonian(s, B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
@@ -400,7 +394,7 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     (rotations first, then scalar coupling blocks), so a given stream state
     always produces the same Hamiltonian.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = _as_generator(rng)
     fam = spec.family
     s = spec.n_spins
     if fam == "GUE":

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import guedyn
-from guedyn.cli import main
+from guedyn.cli import build_parser, main
 
 
 def read_csv(path):
@@ -292,3 +292,76 @@ class TestRunReproducibility:
             with open(out, "rb") as fh:
                 outputs.append(fh.read())
         assert outputs[0] == outputs[1]
+
+
+class TestReplay:
+    """The manifest alone reproduces the data file: every option resolves
+    command line > config file > default, the same way for every flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--model", "SYK", "--dA", "2", "--dB", "4", "--scramble",
+         "--J2", "0.5", "--samples", "8", "--seed", "4", "--t-max", "1", "--dt", "0.25"],
+        ["gaps", "--model", "XXZ", "--dA", "2", "--dB", "4", "--bins", "5",
+         "--samples", "20", "--seed", "2"],
+        ["distance", "--models", "XXZ", "--dA", "2", "--dB", "4", "--dt", "0.5",
+         "--samples", "6", "--seed", "5"],
+        ["analytic", "purity", "--dA", "2", "--dB", "3", "--dA", "2", "--dB", "2",
+         "--t-max", "1", "--dt", "0.5"],
+    ])
+    def test_manifest_alone_reproduces_bytes(self, tmp_path, argv):
+        first = str(tmp_path / "run.csv")
+        assert main(argv + ["--out", first]) == 0
+        positional = argv[1:2] if argv[0] == "analytic" else []
+        replay = str(tmp_path / "replay.csv")
+        assert main([argv[0], *positional, "--config", first + ".manifest.json",
+                     "--out", replay]) == 0
+        with open(first, "rb") as fa, open(replay, "rb") as fb:
+            assert fa.read() == fb.read()
+
+    def test_flag_replaces_config_list(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [4]}))
+        out = str(tmp_path / "c.csv")
+        assert main(["analytic", "chi", "--config", str(cfg), "--d", "6",
+                     "--t-max", "1", "--dt", "0.5", "--out", out]) == 0
+        header, _ = read_csv(out)
+        assert header == ["t", "chi_d6"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "--threads", "2"],
+        ["gaps", "--t-max", "3"],
+        ["gaps", "--dt", "0.5"],
+        ["distance", "--t-max", "3"],
+    ])
+    def test_flags_that_do_not_act_are_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+    def test_old_gaps_manifest_keys_are_ignored(self, tmp_path):
+        first = str(tmp_path / "g.csv")
+        assert main(["gaps", "--model", "GUE", "--dA", "2", "--dB", "3",
+                     "--samples", "10", "--bins", "4", "--out", first]) == 0
+        with open(first + ".manifest.json") as fh:
+            manifest = json.load(fh)
+        manifest["config"].update({"t-max": 3.0, "dt": 0.5, "threads": 2})
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        replay = str(tmp_path / "replay.csv")
+        assert main(["gaps", "--config", str(edited), "--out", replay]) == 0
+        with open(first, "rb") as fa, open(replay, "rb") as fb:
+            assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "chi"], ["montecarlo"], ["gaps"], ["distance"],
+    ])
+    def test_absent_options_parse_to_none(self, argv):
+        args = build_parser().parse_args(argv)
+        unset = {k: v for k, v in vars(args).items() if k not in ("command", "kind")}
+        assert set(unset.values()) == {None}
+
+    def test_zero_gap_samples_is_count_error(self, tmp_path, capsys):
+        out = str(tmp_path / "g.csv")
+        assert main(["gaps", "--samples", "0", "--out", out]) == 2
+        assert "n_samples must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)

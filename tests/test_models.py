@@ -119,6 +119,12 @@ class TestBuilders:
         assert np.max(np.abs(h - h.conj().T)) <= 1e-10
         assert np.all(np.linalg.eigvalsh(h) > -1e-10)  # exponential levels
 
+    @pytest.mark.parametrize("family", ["GUE", "POISSON", *SPIN_FAMILIES])
+    def test_bad_rng_is_type_error(self, family):
+        # an integer is neither an RngStream nor a numpy Generator
+        with pytest.raises(TypeError, match="rng must be"):
+            build_model(ModelSpec(family, 2, 4), 42)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ModelSpec("BOGUS", 2, 2)
