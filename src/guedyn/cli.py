@@ -4,8 +4,9 @@ Subcommands reproduce the underlying data of every figure-type quantity as
 CSV or JSON, with a sibling ``<out>.manifest.json`` whose ``config`` records
 the value of every option of the run.  Each option is resolved the same way:
 the command line, else the ``--config`` file (a JSON object keyed by long-flag
-name, or a manifest), else the subcommand's entry in ``_DEFAULTS``.  Config
-keys that name no option of the subcommand are ignored.  So re-running a
+name, or a manifest), else the subcommand's entry in ``_DEFAULTS``.  A file
+value gets the checks of a command-line one (its option's type and choices);
+config keys that name no option of the subcommand are ignored.  So re-running a
 subcommand with ``--config <manifest>`` regenerates its data file
 bit-identically.
 
@@ -507,21 +508,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> dict:
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _file_value(action, value):
+    """A config-file value with the checks argparse gives a command-line one:
+    the option's type (an integer for an int option, a number for a float
+    one, true or false for a switch, else a string; a non-empty list of them
+    for a repeatable option) and its choices."""
+    if value is None:
+        return None
+    flag = f"--{action.dest}"
+    kind = action.type or (bool if action.nargs == 0 else str)
+    if action.nargs == "+" or isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"config value of {flag} must be a non-empty list, got {value!r}")
+        return [_file_item(flag, kind, action.choices, item) for item in value]
+    return _file_item(flag, kind, action.choices, value)
+
+
+def _file_item(flag, kind, choices, value):
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ValueError(f"config value of {flag} must be {_KIND_NAMES[kind]}, got {value!r}")
+    value = kind(value)
+    if choices is not None and value not in choices:
+        raise ValueError(f"config value of {flag} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _resolve_config(parser, args) -> dict:
     """Each option's value, keyed by long-flag name: the command line, else
-    the config file, else ``_DEFAULTS``."""
+    the config file, else ``_DEFAULTS``.  File values are checked as
+    :func:`_file_value` describes."""
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        file_cfg = loaded.get("config", loaded)  # accept a manifest directly
+        # accept a manifest directly
+        file_cfg = loaded.get("config", loaded) if isinstance(loaded, dict) else None
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     defaults = _DEFAULTS[args.command]
     config = {}
     for flag, value in vars(args).items():
         if flag in ("command", "config"):
             continue
         if value is None:
-            value = file_cfg[flag] if flag in file_cfg else defaults.get(flag)
+            value = (_file_value(actions[flag], file_cfg[flag]) if flag in file_cfg
+                     else defaults.get(flag))
         config[flag] = value
     if config["out"] is None:
         kind = config.get("kind") or config.get("model")
@@ -531,11 +568,12 @@ def _resolve_config(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "selfcheck":
             return run_selfcheck(args.full)
-        config = _resolve_config(args)
+        config = _resolve_config(parser, args)
         runner = {
             "analytic": run_analytic,
             "montecarlo": run_montecarlo,

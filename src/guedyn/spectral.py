@@ -8,12 +8,17 @@ symmetric matrix function
                    sum_a (it)^{mu+nu-2a} / (a! (mu-a)! (nu-a)!),
 
 whose traces of products evaluate every exponential n-point correlator.
-Entries are computed through generalized Laguerre polynomials with
-log-factorial scaling rather than by expanding polynomials in t, so large
-dimensions and times stay in range:
+In terms of generalized Laguerre polynomials,
 
     F_{mu,nu}(t) = e^{-t^2/2} sqrt(min!/max!) (it)^{|mu-nu|}
-                   L^{(|mu-nu|)}_{min}(t^2).
+                   L^{(|mu-nu|)}_{min}(t^2),
+
+but no Laguerre value is formed: along each diagonal k = |mu-nu| the
+normalised entries obey one three-term recurrence, started from F_{0,k} and
+run for all k and all times of a chunk at once (see _h_stack).  A column
+whose start lies below 2^-900 carries its own power-of-two scale, so every
+entry is computed in range for any d and any t with a finite t^2; nothing
+is flushed to zero.
 
 All computation uses the real symmetric stack H = (-1)^{min(mu,nu)} G,
 where F = i^{|mu-nu|} G entrywise.  With E = diag(i^mu), F(t) = E H E and
@@ -23,7 +28,7 @@ Tr(S H).  Only :func:`f_matrix` forms the complex F.
 
 The time grid is the unit of work: each averaged quantity is one function
 of (statistics, dimensions, times) returning an array over the grid, and
-the Laguerre recurrence runs once per grid chunk, batched over t.  The
+the recurrence runs once per grid chunk, batched over t.  The
 one-point functions are thin wrappers over these curves that also accept
 an array of times.
 Every public return is checked to be finite.
@@ -35,7 +40,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, j1
+from scipy.special import gammaln, j1, xlogy
 
 from .errors import NumericalError
 from .symgroup import Permutation
@@ -66,33 +71,28 @@ __all__ = [
 # gas, or uncorrelated (exponential-gap) energies.
 STATISTICS = ("GUE", "POISSON")
 
-# e^{-x/2} underflows past this point; F is flushed to the zero matrix and
-# every downstream formula returns its exact asymptotic constant.
-_UNDERFLOW_X = 1488.0
-
 # The time grid is processed in chunks of _CHUNK_BYTES / (16 d^2) times, so
 # each real (chunk, d, d) block of H stacks stays under half of it.
 _CHUNK_BYTES = 8 * 2**20
 
+# The scale step of _h_stack.  A recurrence step multiplies a value by at most
+# about t^2 + 3d, so values stay finite while (t^2 + 3d) _BIG < 2^1024; past
+# that (|t| > 2^61) every column starts at the exponent cap, as zero.
+_BIG_BITS = 900
+_BIG = 2.0**_BIG_BITS
+_LOG_BIG = _BIG_BITS * math.log(2.0)
+
 
 @lru_cache(maxsize=64)
-def _index_tables(d: int):
-    """Per-dimension tables for H: with lo = min(mu, nu) and k = |mu - nu|,
-    the flat index of L^(k)_lo in a Laguerre table, k as float,
-    log sqrt(lo!/hi!), the diagonal of S, and the signs (-1)^lo and (-1)^k,
-    stacked."""
+def _tables(d: int):
+    """The diagonal (-1)^mu of S, and root[n, k] = sqrt(n (n + k)) for the
+    recurrence of _h_stack; read-only."""
     mu = np.arange(d)
-    lo = np.minimum.outer(mu, mu)
-    hi = np.maximum.outer(mu, mu)
-    k = hi - lo
-    flat = lo * d + k
-    log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
     parity = 1.0 - 2.0 * (mu % 2)
-    signs = parity[np.stack([lo, k])]
-    k = k.astype(float)
-    for arr in (flat, k, log_ratio, parity, signs):
-        arr.setflags(write=False)
-    return flat, k, log_ratio, parity, signs
+    root = np.sqrt(mu[:, None] * (mu[:, None] + mu))
+    parity.setflags(write=False)
+    root.setflags(write=False)
+    return parity, root
 
 
 def _finite(values, what: str):
@@ -119,62 +119,61 @@ def _check_statistics(statistics: str) -> None:
         raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
 
 
-def _laguerre_stack(d: int, x: np.ndarray) -> np.ndarray:
-    """L[i, n, alpha] = L^(alpha)_n(x_i) for n + alpha <= d-1; the other
-    entries are left unset.
-
-    The three-term recurrence in n runs once, each step an array operation
-    over (x, alpha).
-    """
-    alpha = np.arange(d, dtype=float)
-    x = x[:, None]
-    table = np.empty((x.shape[0], d, d))
-    table[:, 0] = 1.0
-    if d > 1:
-        table[:, 1, : d - 1] = 1.0 + alpha[: d - 1] - x
-    for n in range(2, d):
-        m = d - n
-        a = alpha[:m]
-        table[:, n, :m] = (
-            (2 * n - 1 + a - x) * table[:, n - 1, :m]
-            - (n - 1 + a) * table[:, n - 2, :m]
-        ) / n
-    return table
-
-
 def _h_stack(d: int, times: np.ndarray) -> np.ndarray:
     """Real symmetric (T, d, d) stack H with F(t) = E H(t) E.
 
-    H(0) = S and H is flushed to zero past _UNDERFLOW_X.  May hold
-    non-finite entries where the unscaled recurrence overflows; the public
-    returns check for them.
+    Along each diagonal k, h_n = H[n, n+k] obeys, with x = t^2,
+
+        sqrt((n+1)(n+1+k)) h_{n+1} = (x - 2n - 1 - k) h_n - sqrt(n(n+k)) h_{n-1},
+        h_0 = e^{-x/2} t^k / sqrt(k!),
+
+    run for every (t, k) column at once.  A column whose h_0 is below 1/_BIG
+    runs as v = h 2^-e: e starts at the negative multiple of _BIG_BITS that
+    puts v_0 in (1/_BIG, 1], and whenever |v| passes _BIG both recurrence
+    values are divided by _BIG and e takes the factor (from |t| of about 50).
+    |H| <= 1 (F is a block of a unitary), so columns with e = 0 cannot
+    overflow: a chunk in which every column starts with e = 0 skips the
+    check.  Scaling depends only on a column's own values, so H is the same
+    for any chunk.
     """
-    flat, k, log_ratio, parity, signs = _index_tables(d)
-    x = times * times
-    out = np.zeros((times.size, d, d))
-    out[times == 0.0] = np.diag(parity)
-    live = (times != 0.0) & (x <= _UNDERFLOW_X)
-    if not live.any():
-        return out
-    t, x = times[live], x[live]
-    with np.errstate(over="ignore", invalid="ignore"):
-        lag = np.take(_laguerre_stack(d, x).reshape(t.size, d * d), flat, axis=1)
-        # e^{-x/2} sqrt(lo!/hi!) |t|^k, then times L^(k)_lo(x)
-        g = k * np.log(np.abs(t))[:, None, None]
-        g += log_ratio
-        g -= 0.5 * x[:, None, None]
-        np.exp(g, out=g)
-        g *= lag
-    # H = (-1)^lo G, where G holds the sign(t)^k of (it)^k = i^k |t|^k sign(t)^k
-    g *= signs[0]
-    g[t < 0] *= signs[1]
-    out[live] = g
+    parity, root = _tables(d)
+    t = times[:, None]
+    x = t * t
+    k = np.arange(d, dtype=float)
+    lg = xlogy(k, np.abs(t)) - 0.5 * x - 0.5 * gammaln(k + 1)  # log |h_0|
+    # lg = -inf (t = 0 < k) needs no scale; a column past the cap starts as
+    # zero, and no feasible d lets it grow back from h_0 < 2^-1.9e12
+    m = np.minimum(np.nan_to_num(np.floor(-lg / _LOG_BIG), posinf=0.0), 2.0**31)
+    h = np.exp(lg + m * _LOG_BIG)
+    np.multiply(h, parity, out=h, where=t < 0)  # sign(t)^k
+    e = (-_BIG_BITS * m).astype(np.int64)
+    scaled = e.any()
+    out = np.empty((times.size, d, d))
+    for n in range(d):
+        row = np.ldexp(h, e[:, : d - n]) if scaled else h
+        out[:, n, n:] = row
+        out[:, n + 1:, n] = row[:, 1:]
+        w = d - n - 1
+        if not w:
+            break
+        new = x - (2 * n + 1 + k[:w])
+        new *= h[:, :w]
+        if n:
+            new -= root[n, :w] * prev[:, :w]
+        new /= root[n + 1, :w]
+        prev, h = h, new
+        if scaled:
+            big = np.abs(new) > _BIG
+            if big.any():
+                new[big] /= _BIG
+                prev[:, :w][big] /= _BIG
+                e[:, :w][big] += _BIG_BITS
     return out
 
 
 def _trace_s(h: np.ndarray) -> np.ndarray:
     """Tr(S H) over a stack: the real trace of F."""
-    return (np.diagonal(h, axis1=1, axis2=2) * _index_tables(h.shape[-1])[3]).sum(-1)
+    return (np.diagonal(h, axis1=1, axis2=2) * _tables(h.shape[-1])[0]).sum(-1)
 
 
 def f_matrix(d: int, t: float) -> np.ndarray:
@@ -186,8 +185,7 @@ def f_matrix(d: int, t: float) -> np.ndarray:
     if d < 1:
         raise ValueError("d must be >= 1")
     e = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
-    with np.errstate(invalid="ignore"):
-        f = e[:, None] * e * _h_stack(d, _grid([t]))[0]
+    f = e[:, None] * e * _h_stack(d, _grid([t]))[0]
     return _finite(f, f"F({t}) at d={d}")
 
 
@@ -195,8 +193,7 @@ def trace_f(d: int, t: float) -> float:
     """Tr F(t) = Tr(S H(t)) = e^{-t^2/2} L^(1)_{d-1}(t^2)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    with np.errstate(invalid="ignore"):
-        tr = _trace_s(_h_stack(d, _grid([t])))
+    tr = _trace_s(_h_stack(d, _grid([t])))
     return _finite(float(tr[0]), f"Tr F({t}) at d={d}")
 
 
@@ -238,7 +235,7 @@ def _loop_traces(keys, stacks, d: int) -> dict:
     batched real matmul and kept for reuse within the chunk, and
     Tr(A B) = sum_ij A_ij B_ji.
     """
-    parity = _index_tables(d)[3]
+    parity = _tables(d)[0]
     products = {}
     traces = {}
     for key in keys:
@@ -323,9 +320,11 @@ def chi_curve(statistics: str, d: int, times) -> np.ndarray:
         out = np.empty(times.size)
         for sl in _chunks(d, times.size):
             h = _h_stack(d, times[sl])
-            with np.errstate(over="ignore", invalid="ignore"):
-                tr = _trace_s(h)
-                out[sl] = tr * tr - np.einsum("tij,tij->t", h, h) + d
+            tr = _trace_s(h)
+            # a row sum of the flat stack adds each time's squares in the
+            # same order whatever the chunk length
+            sq = np.square(h, out=h).reshape(len(h), d * d).sum(axis=1)
+            out[sl] = tr * tr - sq + d
     return _finite(out, f"<chi> at d={d}")
 
 

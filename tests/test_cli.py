@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import guedyn
+from guedyn import spectral
 from guedyn.cli import build_parser, main
 
 
@@ -73,13 +75,22 @@ class TestAnalytic:
         assert code == 2
         assert not os.path.exists(out)
 
-    def test_non_finite_curve_is_numerical_error(self, tmp_path):
-        # the unscaled Laguerre recurrence overflows at d = 400, t = 38
+    def test_non_finite_curve_is_numerical_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "_h_stack",
+                            lambda d, times: np.full((len(times), d, d), np.nan))
         out = str(tmp_path / "chi.csv")
-        code = main(["analytic", "chi", "--d", "400", "--t-max", "38",
-                     "--dt", "1", "--out", out])
+        code = main(["analytic", "chi", "--d", "6", "--t-max", "1",
+                     "--dt", "0.5", "--out", out])
         assert code == 3
         assert not os.path.exists(out)
+
+    def test_large_d_and_time(self, tmp_path):
+        # reference from an all-mpmath evaluation of F (chi_trace_mp in
+        # test_spectral.py)
+        out = str(tmp_path / "chi.csv")
+        assert main(["analytic", "chi", "--d", "400", "--t-max", "38",
+                     "--dt", "1", "--out", out]) == 0
+        assert abs(column(out, "chi_d400")[-1] - 394.67427564265677) <= 1e-10 * 394.7
 
     def test_missing_d_is_argument_error(self, tmp_path):
         assert main(["analytic", "chi", "--t-max", "1", "--dt", "0.5",
@@ -222,6 +233,19 @@ class TestConfigFile:
         for t, value in zip([0.0, 0.25, 0.5, 0.75, 1.0], values):
             assert value == chi_mean(4, t)  # 17 significant digits round-trip
 
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"d": [4], "format": "xml"}, "--format must be one of"),
+        ({"d": [4], "dt": "0.5"}, "--dt must be a number"),
+        ([4], "must hold a JSON object"),
+    ])
+    def test_bad_file_values_are_argument_errors(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "c.csv")
+        assert main(["analytic", "chi", "--config", str(path), "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 class TestAtomicOutput:
     def test_failed_manifest_dump_leaves_no_partial_file(self, tmp_path, monkeypatch):

@@ -381,7 +381,7 @@ class TestExtrema:
         assert abs(extrema[0][0] - fit) <= 0.05 * fit
 
 
-# Grid with t = 0, both signs, a point past the underflow flush and
+# Grid with t = 0, both signs, a point where e^{-t^2/2} underflows and
 # irregular spacing.
 GRID_POINTS = np.array([0.0, 0.013, 0.31, -0.77, 1.0, 2.45, 3.9, -5.2, 6.0, 40.0])
 
@@ -425,6 +425,20 @@ class TestGrid:
         for chi, xi in results[1:]:
             assert np.array_equal(chi, results[0][0])
             assert np.array_equal(xi, results[0][1])
+        # scaled columns share chunks with unscaled ones: at d = 150 the
+        # columns k near d start below 1/_BIG at t = 0.01, and at t = 38.6
+        # e^{-t^2/2} itself underflows
+        for d, grid in ((150, np.insert(ts, 1, 0.01)),
+                        (400, np.array([0.0, 0.01, 2.0, -38.0, 38.6]))):
+            stack = spectral._h_stack(d, grid)
+            for i in range(grid.size):
+                assert np.array_equal(spectral._h_stack(d, grid[i:i + 1])[0], stack[i])
+            curves = []
+            for times_per_chunk in (1, 3, grid.size):
+                monkeypatch.setattr(spectral, "_CHUNK_BYTES", times_per_chunk * 16 * d * d)
+                curves.append(chi_curve("GUE", d, grid))
+            for chi in curves[1:]:
+                assert np.array_equal(chi, curves[0])
 
     @pytest.mark.parametrize("d", [60, 150])
     def test_chi_agrees_with_matmul_correlator(self, d):
@@ -440,17 +454,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             purity_curve("gue", 2, 2, GRID_POINTS)
 
-    def test_non_finite_raises(self):
-        # the unscaled Laguerre recurrence overflows at d = 400, t = 38
+    def test_non_finite_raises(self, monkeypatch):
+        # whatever makes the stack non-finite, no public return carries it
+        monkeypatch.setattr(spectral, "_h_stack",
+                            lambda d, times: np.full((len(times), d, d), np.nan))
         with pytest.raises(NumericalError):
-            chi_mean(400, 38.0)
+            chi_mean(6, 1.0)
         with pytest.raises(NumericalError):
-            f_matrix(400, 38.0)
+            f_matrix(6, 1.0)
         with pytest.raises(NumericalError):
-            correlator((1, -1), 400, 38.0)
+            correlator((1, -1), 6, 1.0)
         with pytest.raises(NumericalError):
-            trace_f(400, 38.0)
-        assert chi_mean(300, 38.0) == pytest.approx(300.0)
+            trace_f(6, 1.0)
+        with pytest.raises(NumericalError):
+            xi_curve("GUE", 6, [0.5, 1.0])
 
 
 class TestProperties:
@@ -730,3 +747,76 @@ class TestLoopKeys:
         same = {_canonical_loop(loop[r:] + loop[:r]) for r in range(5)}
         same |= {_canonical_loop((loop[r:] + loop[:r])[::-1]) for r in range(5)}
         assert len(same) == 1
+
+
+def chi_trace_mp(d, t):
+    """(<chi>, Tr F) at 30 digits, all in mpmath: with x = t^2 and
+    L = L^(k)_n(x) from its three-term recurrence, |F[n, n+k]|^2 is the product
+    e^{-x} x^k n!/(n+k)! L^2 (the square of e^{-x/2} t^k sqrt(n!/(n+k)!) L),
+    and F[n, n] = e^{-x/2} L^(0)_n(x).  No float enters before the result."""
+    with mp.workdps(30):
+        x = mp.mpf(t) ** 2
+        trace, squares = 0, 0
+        c_k = mp.exp(-x)  # e^{-x} x^k / k!
+        for k in range(d):
+            if k:
+                c_k = c_k * x / k
+            lag_prev, lag, c = 0, mp.mpf(1), c_k
+            for n in range(d - k):
+                if n:
+                    lag_prev, lag = lag, ((2 * n - 1 + k - x) * lag
+                                          - (n - 1 + k) * lag_prev) / n
+                    c = c * n / (n + k)
+                if k:
+                    squares += 2 * c * lag * lag
+                else:
+                    squares += c * lag * lag
+                    trace += mp.sqrt(c) * lag
+        return float(trace * trace - squares + d), float(trace)
+
+
+class TestScaledRecurrence:
+    """Large d and t, where e^{-t^2/2} alone underflows and the columns of the
+    recurrence carry their own scale."""
+
+    @pytest.mark.parametrize("t", [38.0, 38.6])
+    def test_chi_and_trace_against_mpmath(self, t):
+        chi_want, tr_want = chi_trace_mp(400, t)
+        assert abs(chi_mean(400, t) - chi_want) <= 1e-10 * abs(chi_want)
+        assert abs(trace_f(400, t) - tr_want) <= 1e-10 * abs(tr_want)
+        assert abs(correlator((1, -1), 400, t) + 400 - chi_want) <= 1e-10 * chi_want
+
+    @pytest.mark.parametrize("d,t", [(800, 52.0), (1000, -60.0)])
+    def test_renormalised_trace_against_mpmath(self, d, t):
+        # the k = 0 column starts near 2^-(0.72 t^2), two factors of _BIG
+        # down, and is renormalised on its way up to O(1) values;
+        # Tr F = e^{-x/2} L^(1)_{d-1}(x), the Laguerre value by its recurrence
+        with mp.workdps(30):
+            x = mp.mpf(t) ** 2
+            lag_prev, lag = 0, mp.mpf(1)
+            for n in range(1, d):
+                lag_prev, lag = lag, ((2 * n - x) * lag - n * lag_prev) / n
+            want = float(mp.exp(-x / 2) * lag)
+        assert abs(trace_f(d, t) - want) <= 1e-12 * abs(want)
+
+    def test_past_the_band_edge(self):
+        # at d = 300 the spectrum ends below t = 38: F is negligible there
+        assert chi_mean(300, 38.0) == pytest.approx(300.0, rel=1e-12)
+        assert abs(trace_f(300, 38.0)) < 1e-12
+
+    def test_rows_unitary(self):
+        # F is a block of the unitary e^{itX}, and at |t| = 38 the first rows
+        # put their weight near nu = t^2, well inside 2000 columns
+        stack = spectral._h_stack(2000, np.array([38.0, -38.6]))
+        norms = np.square(stack[:, :10]).sum(axis=2)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.37, 2.5, 11.0])
+    def test_chi_from_wider_table(self, t):
+        # sum_nu H_mu,nu^2 = 1 over all nu gives <chi> = Tr(S H)^2 +
+        # sum_{mu < d <= nu} H_mu,nu^2, a route with no d - |F|^2 cancellation;
+        # at t = 11 the rows mu < 60 reach past nu = 3d, so the table is 8d wide
+        d = 60
+        h = spectral._h_stack(8 * d, np.array([t]))[0]
+        want = (np.diag(h)[:d] @ ((-1.0) ** np.arange(d))) ** 2 + np.sum(h[:d, d:] ** 2)
+        assert abs(chi_mean(d, t) - want) <= 1e-12 * want
