@@ -411,17 +411,24 @@ def _selfcheck_curves():
 
 
 def run_selfcheck(full):
-    checks = []
-    checks.extend(_selfcheck_table1())
-    checks.extend(_selfcheck_table2())
-    checks.extend(_selfcheck_identities(full))
-    checks.extend(_selfcheck_curves())
-    n_fail = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{name}: {detail} [{status}]")
-        n_fail += 0 if ok else 1
-    print(f"selfcheck: {len(checks) - n_fail}/{len(checks)} passed")
+    groups = (
+        _selfcheck_table1(),
+        _selfcheck_table2(),
+        _selfcheck_identities(full),
+        _selfcheck_curves(),
+    )
+    n_checks = n_fail = 0
+    for group in groups:
+        # A check's time is the wall time its generator runs until it yields.
+        start = time.perf_counter()
+        for name, ok, detail in group:
+            seconds = time.perf_counter() - start
+            status = "PASS" if ok else "FAIL"
+            print(f"{name}: {detail} [{status}] {seconds:.3f} s", flush=True)
+            n_checks += 1
+            n_fail += 0 if ok else 1
+            start = time.perf_counter()
+    print(f"selfcheck: {n_checks - n_fail}/{n_checks} passed")
     return 0 if n_fail == 0 else 4
 
 

@@ -15,9 +15,11 @@ subsystem (dimension ``d_A``) coupled to a bath (``d_B``), q = 2n and
   ``iota(m t) = sum_j exp(i E_j m t)``, one factor per cycle of tau, with
   ``m`` the sum of the phase coefficients around the cycle (m = 0 gives d).
 
-Everything up to numeric evaluation is exact: coefficients are
-``fractions.Fraction`` and the Weingarten values come from
-:mod:`guedyn.symgroup`.
+The pairs are counted, not walked: :func:`guedyn.symgroup.class_table`
+gives the class of every sigma tau^-1 at once, and the (R, Q, class)
+multiplicities come from integer bincounts.  Everything up to numeric
+evaluation is exact: coefficients are ``fractions.Fraction`` and the
+Weingarten values come from :mod:`guedyn.symgroup`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericalError
-from .symgroup import Permutation, weingarten
+from .symgroup import Permutation, class_table, weingarten
 
 __all__ = [
     "MonomialSpec",
@@ -51,6 +53,9 @@ __all__ = [
 # A slot in the index lists is either ONE (the fixed initial-state label)
 # or a composite (a_symbol, b_symbol) pair of integer symbol ids.
 ONE = None
+
+# Rows of sigma per bincount when counting permutation pairs.
+_PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -255,9 +260,12 @@ def _real_or_raise(z: complex, tol: float = 1e-10) -> float:
 def haar_average_moment(n: int, d_A: int, d_B: int) -> SymbolicAverage:
     """Exact Haar average of Tr rho_A^n(t) over the eigenbasis group U(d).
 
-    Enumerates all (2n)!^2 permutation pairs directly.  For n = 1 the
-    average is resolved into the |1_A><1_A| and 1_A/d_A operator channels
-    instead of being traced.
+    The (2n)!^2 permutation pairs are counted, not enumerated: the class of
+    every sigma tau^-1 comes from :func:`guedyn.symgroup.class_table`, and
+    ``np.bincount`` over row blocks of sigma tallies the (R, Q, class)
+    triples.  Terms keep first-seen pair order and exact ``Fraction``
+    coefficients.  For n = 1 the average is resolved into the |1_A><1_A|
+    and 1_A/d_A operator channels instead of being traced.
     """
     if n < 1 or d_A < 1 or d_B < 1:
         raise ValueError("n, d_A, d_B must be positive")
@@ -266,46 +274,36 @@ def haar_average_moment(n: int, d_A: int, d_B: int) -> SymbolicAverage:
         return _rho_matrix_average(d_A, d_B)
 
     spec = build_trace_moment_spec(n)
-    q = spec.q
-    elements = Permutation.all_elements(q)
-    n_el = len(elements)
+    elements, classes, table = class_table(spec.q)
 
-    r_values = [compute_R(spec, s) for s in elements]
-    q_values = [compute_Q(spec, t) for t in elements]
-
-    # Intern R and Q values; aggregate pair counts per (R, Q, class) key.
+    # Intern R and Q values in first-seen order.  Every R row meets every Q
+    # column, so the first-seen order of (R, Q) pairs is row-major in ids.
     r_index: dict[RValue, int] = {}
     q_index: dict[QValue, int] = {}
-    r_ids = [r_index.setdefault(r, len(r_index)) for r in r_values]
-    q_ids = [q_index.setdefault(qv, len(q_index)) for qv in q_values]
+    r_ids = np.array(
+        [r_index.setdefault(compute_R(spec, p), len(r_index)) for p in elements]
+    )
+    q_ids = np.array(
+        [q_index.setdefault(compute_Q(spec, p), len(q_index)) for p in elements]
+    )
+    n_r, n_q, n_c = len(r_index), len(q_index), len(classes)
 
-    images = [p.images for p in elements]
-    inv_images = [p.inverse().images for p in elements]
-    perm_id = {img: i for i, img in enumerate(images)}
-    class_of = [p.cycle_type() for p in elements]
-    classes: dict[tuple[int, ...], int] = {}
-    class_ids = [classes.setdefault(c, len(classes)) for c in class_of]
-    class_list = list(classes)
+    # Pair counts per (R id, Q id, class id), one bincount per row block.
+    counts = np.zeros(n_r * n_q * n_c, dtype=np.int64)
+    pair_key = q_ids * n_c
+    for start in range(0, len(elements), _PAIR_BLOCK):
+        rows = slice(start, start + _PAIR_BLOCK)
+        keys = (r_ids[rows, None] * (n_q * n_c) + pair_key) + table[rows]
+        counts += np.bincount(keys.ravel(), minlength=counts.size)
 
-    counts: dict[tuple[int, int, int], int] = {}
-    rng_q = range(q)
-    for i in range(n_el):
-        sigma = images[i]
-        ri = r_ids[i]
-        for j in range(n_el):
-            tau_inv = inv_images[j]
-            composed = tuple(sigma[tau_inv[k] - 1] for k in rng_q)
-            key = (ri, q_ids[j], class_ids[perm_id[composed]])
-            counts[key] = counts.get(key, 0) + 1
-
-    wg = {c: weingarten(d, class_list[c]) for c in range(len(class_list))}
-    r_list = list(r_index)
-    q_list = list(q_index)
+    wg = [weingarten(d, mu) for mu in classes]
     avg = SymbolicAverage(n, d_A, d_B)
-    for (ri, qi, ci), mult in counts.items():
-        key = (r_list[ri], q_list[qi])
-        avg.terms[key] = avg.terms.get(key, Fraction(0)) + mult * wg[ci]
-    avg.terms = {k: v for k, v in avg.terms.items() if v != 0}
+    by_pair = counts.reshape(n_r * n_q, n_c).tolist()
+    pairs = ((rv, qv) for rv in r_index for qv in q_index)
+    for key, mults in zip(pairs, by_pair):
+        coeff = sum((m * w for m, w in zip(mults, wg) if m), Fraction(0))
+        if coeff != 0:
+            avg.terms[key] = coeff
     return avg
 
 

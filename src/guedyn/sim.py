@@ -204,7 +204,18 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
     """Tr rho^2 of a Hermitian density matrix (Frobenius norm squared); an
     array over the leading axes of a (..., d_A, d_A) stack."""
     rho = np.asarray(rho)
-    out = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+    d_A = rho.shape[-1]
+    if d_A * d_A > _SMALL_STATE:
+        out = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+    else:
+        # A reduction over d_A^2 <= 8 entries runs one tiny inner loop per
+        # matrix; add the |rho_ab|^2 planes over the whole stack instead, in
+        # the row-major order np.sum takes on a contiguous stack, hence to
+        # the same bytes.
+        planes = (np.abs(rho) ** 2).reshape(rho.shape[:-2] + (d_A * d_A,))
+        out = planes[..., 0].copy()
+        for k in range(1, d_A * d_A):
+            out += planes[..., k]
     return float(out) if rho.ndim == 2 else out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -211,6 +212,15 @@ class TestSelfcheck:
         assert "table1 q=4: exact" in report
         assert "d=4 <chi> closed form" in report
         assert "selfcheck:" in report
+
+    def test_full_reports_each_check_time(self, capsys):
+        assert main(["selfcheck", "--full"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("third-moment average identity (n=3): ")
+                   for line in lines)
+        assert lines[-1] == "selfcheck: 11/11 passed"
+        for line in lines[:-1]:
+            assert re.fullmatch(r".+: .+ \[PASS\] \d+\.\d{3} s", line), line
 
 
 class TestConfigFile:

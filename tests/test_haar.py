@@ -1,6 +1,9 @@
 """Symbolic Haar-average engine against its closed forms and a brute-force
 Monte Carlo oracle."""
 
+from fractions import Fraction
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from guedyn.haar import (
     zeta_of_spectrum,
 )
 from guedyn.sim import RngStream, sample_haar_unitary
-from guedyn.symgroup import Permutation
+from guedyn.symgroup import Permutation, weingarten
 
 A = lambda m: ("a", m)  # noqa: E731
 B = lambda m: ("b", m)  # noqa: E731
@@ -176,6 +179,42 @@ class TestEngineIdentblocks:
         assert _real_or_raise(2.0 + 1e-12j) == 2.0
         with pytest.raises(NumericalError):
             _real_or_raise(2.0 + 1e-6j)
+
+
+def reference_terms(n, d_a, d_b):
+    """(R, Q) -> coefficient by walking every (sigma, tau) pair of S_2n in
+    Python, composing sigma tau^-1 one pair at a time; terms in first-seen
+    pair order."""
+    spec = build_trace_moment_spec(n)
+    elements = Permutation.all_elements(spec.q)
+    r_values = [compute_R(spec, s) for s in elements]
+    q_values = [compute_Q(spec, t) for t in elements]
+    # itemgetter(*tau^-1 images) applied to (0,) + sigma images composes
+    # sigma tau^-1 in one-line notation.
+    inverses = [itemgetter(*p.inverse().images) for p in elements]
+    class_of = {p.images: p.cycle_type() for p in elements}
+    counts = {}
+    for sigma, rv in zip(elements, r_values):
+        padded = (0,) + sigma.images
+        for tau_inv, qv in zip(inverses, q_values):
+            key = (rv, qv, class_of[tau_inv(padded)])
+            counts[key] = counts.get(key, 0) + 1
+    terms = {}
+    for (rv, qv, mu), mult in counts.items():
+        terms[(rv, qv)] = terms.get((rv, qv), Fraction(0)) + mult * weingarten(
+            d_a * d_b, mu
+        )
+    return [(key, value) for key, value in terms.items() if value != 0]
+
+
+class TestPairCounting:
+    @pytest.mark.parametrize(
+        "n,d_a,d_b", [(2, 2, 2), (2, 2, 3), (2, 1, 4), (2, 3, 5), (3, 2, 2)]
+    )
+    def test_terms_match_pairwise_enumeration(self, n, d_a, d_b):
+        got = list(haar_average_moment(n, d_a, d_b).terms.items())
+        assert got == reference_terms(n, d_a, d_b)
+        assert all(type(value) is Fraction for _, value in got)
 
 
 class TestThirdMoment:

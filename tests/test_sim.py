@@ -177,6 +177,15 @@ class TestPurity:
         assert abs(purity(np.eye(3) / 3) - 1 / 3) < 1e-15
         assert abs(purity(np.diag([0.75, 0.25])) - 0.625) < 1e-15
 
+    @pytest.mark.parametrize("d_a", [1, 2, 3])
+    def test_same_bytes_as_full_reduction(self, d_a):
+        gen = RngStream(31, d_a).generator()
+        stack = partial_trace(haar_state(d_a * 3, gen) * np.ones((6, 601, 1)), d_a, 3)
+        stack = stack + 1e-3 * gen.normal(size=stack.shape)
+        for rho in (stack, stack[2, 17]):
+            want = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+            assert np.array_equal(purity(rho), want)
+
 
 class TestStacks:
     def test_partial_trace_and_purity_over_a_time_stack(self):

@@ -10,6 +10,7 @@ import pytest
 from guedyn.symgroup import (
     Permutation,
     character,
+    class_table,
     class_size,
     conjugate_partition,
     hook_dimension,
@@ -222,6 +223,26 @@ class TestWeingarten:
             assert wg[i][i] == diag
             for j in range(size):
                 assert wg[i][j] == wg[j][i]
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_matrix_matches_pairwise_weingarten(self, q):
+        for d in (1, 3, 6):
+            els, wg = weingarten_matrix(d, q)
+            assert els == Permutation.all_elements(q)
+            assert wg == [
+                [weingarten(d, (s * t.inverse()).cycle_type()) for t in els]
+                for s in els
+            ]
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4, 5])
+    def test_class_table_matches_composition(self, q):
+        els, classes, table = class_table(q)
+        assert classes == partitions(q)
+        assert table.shape == (factorial(q), factorial(q))
+        assert table.dtype == np.int8
+        for i, s in enumerate(els):
+            for j, t in enumerate(els):
+                assert classes[table[i, j]] == (s * t.inverse()).cycle_type()
 
     def test_q2_matrix_closed_form(self):
         d = 7
