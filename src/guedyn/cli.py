@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, haar, models, spectral, symgroup
 from .errors import NumericalError
-from .sim import RngStream, _check_counts, _one_blas_thread, gap_statistics
+from .sim import RngStream, _check_counts, _one_blas_thread, _openblas, gap_statistics
 
 ANALYTIC_KINDS = (
     "chi",
@@ -85,6 +85,27 @@ def _write_output(path, fmt, columns, rows, manifest):
     with _atomic(path + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=1, default=str)
         fh.write("\n")
+
+
+def _environment(config):
+    """What fixes a run's bytes besides its config: the Python, numpy and BLAS
+    versions, whether that BLAS is held at one thread during sampling, and the
+    worker threads.  scipy is listed only when the run loaded it (``analytic
+    bessel``), since only then does it take part.  Read from the running
+    process alone: no subprocess, no package metadata."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_one_thread_pin": _openblas() is not None,
+    }
+    if "threads" in config:
+        env["threads"] = config["threads"]
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        env["scipy"] = scipy.__version__
+    return env
 
 
 def _time_grid(t_max, dt):
@@ -594,6 +615,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "command": args.command,
             "config": config,
+            "environment": _environment(config),
             "wall_clock_s": time.time() - t0,
             "columns": columns,
         }

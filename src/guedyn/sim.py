@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded with the package, not inside a run's first draw
 
 __all__ = [
     "RngStream",

@@ -36,11 +36,12 @@ Every public return is checked to be finite.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, j1, xlogy
 
 from .errors import NumericalError
 from .symgroup import Permutation
@@ -85,14 +86,17 @@ _LOG_BIG = _BIG_BITS * math.log(2.0)
 
 @lru_cache(maxsize=64)
 def _tables(d: int):
-    """The diagonal (-1)^mu of S, and root[n, k] = sqrt(n (n + k)) for the
-    recurrence of _h_stack; read-only."""
+    """The diagonal (-1)^mu of S, root[n, k] = sqrt(n (n + k)) for the
+    recurrence of _h_stack, and half_log_fact[k] = log(k!) / 2 for its start;
+    read-only.  log k! is the log of the exact integer k!, within an ulp."""
     mu = np.arange(d)
     parity = 1.0 - 2.0 * (mu % 2)
     root = np.sqrt(mu[:, None] * (mu[:, None] + mu))
-    parity.setflags(write=False)
-    root.setflags(write=False)
-    return parity, root
+    factorials = itertools.accumulate(range(1, d), operator.mul, initial=1)
+    half_log_fact = 0.5 * np.array([math.log(f) for f in factorials])
+    for table in (parity, root, half_log_fact):
+        table.setflags(write=False)
+    return parity, root, half_log_fact
 
 
 def _finite(values, what: str):
@@ -136,14 +140,24 @@ def _h_stack(d: int, times: np.ndarray) -> np.ndarray:
     check.  Scaling depends only on a column's own values, so H is the same
     for any chunk.
     """
-    parity, root = _tables(d)
+    parity, root, half_log_fact = _tables(d)
     t = times[:, None]
     x = t * t
     k = np.arange(d, dtype=float)
-    lg = xlogy(k, np.abs(t)) - 0.5 * x - 0.5 * gammaln(k + 1)  # log |h_0|
+    # lg = log |h_0| = k log|t| - x/2 - log(k!)/2 with 0 log 0 = 0: at t = 0
+    # it is 0 at k = 0 and -inf after, and no log of zero is taken
+    abs_t = np.abs(t)
+    log_t = np.log(abs_t, out=np.full_like(t, -np.inf), where=abs_t > 0)
+    lg = np.empty((times.size, d))
+    lg[:, :1] = 0.0
+    np.multiply(log_t, k[1:], out=lg[:, 1:])
+    lg -= 0.5 * x
+    lg -= half_log_fact
     # lg = -inf (t = 0 < k) needs no scale; a column past the cap starts as
     # zero, and no feasible d lets it grow back from h_0 < 2^-1.9e12
-    m = np.minimum(np.nan_to_num(np.floor(-lg / _LOG_BIG), posinf=0.0), 2.0**31)
+    m = np.floor(-lg / _LOG_BIG)
+    m[~(m < np.inf)] = 0.0  # lg = -inf, or NaN from a NaN time
+    m = np.minimum(m, 2.0**31)
     h = np.exp(lg + m * _LOG_BIG)
     np.multiply(h, parity, out=h, where=t < 0)  # sign(t)^k
     e = (-_BIG_BITS * m).astype(np.int64)
@@ -472,6 +486,9 @@ def bessel_limit(tau: float, power: int = 2) -> float:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         return 1.0
+    # imported here, so only this function's callers load scipy
+    from scipy.special import j1
+
     return _finite(float((j1(2 * tau) / tau) ** power), f"Bessel limit at tau={tau}")
 
 

@@ -287,6 +287,8 @@ class TestRunReproducibility:
          "--t-max", "1", "--dt", "0.25"],
         ["distance", "--models", "GUE", "POISSON", "XXZ", "--dA", "2", "--dB", "4",
          "--samples", "6", "--dt", "0.5"],
+        ["montecarlo", "--dA", "2", "--dB", "2", "--samples", "20", "--t-max", "1",
+         "--dt", "0.25"],
     ])
     def test_threads_change_only_timings(self, tmp_path, argv):
         out = str(tmp_path / "run.csv")
@@ -302,6 +304,7 @@ class TestRunReproducibility:
             assert all(v >= 0.0 for v in stages.values())
             assert manifest.pop("wall_clock_s") >= 0.0
             assert manifest["config"].pop("threads") == threads
+            assert manifest["environment"].pop("threads") == threads
             runs.append((data, manifest))
         assert runs[0] == runs[1]
 
@@ -326,6 +329,68 @@ class TestRunReproducibility:
             with open(out, "rb") as fh:
                 outputs.append(fh.read())
         assert outputs[0] == outputs[1]
+
+
+# Run in a fresh interpreter: the commands below must not load scipy, then
+# ``analytic bessel`` must load it and write the bytes it always wrote.
+_IMPORT_PATH_SCRIPT = """
+import contextlib, io, json, os, sys
+import guedyn.cli
+
+out = sys.argv[1]
+grid = ["--t-max", "1", "--dt", "0.25"]
+pair = ["--dA", "2", "--dB", "2"]
+commands = [
+    ["analytic", "chi", "--d", "4", *grid], ["analytic", "xi", "--d", "5", *grid],
+    ["analytic", "rho", *pair, *grid], ["analytic", "purity", *pair, *grid],
+    ["analytic", "chi-poisson", "--d", "4", *grid],
+    ["analytic", "xi-poisson", "--d", "5", *grid],
+    ["analytic", "purity-poisson", *pair, *grid],
+    ["montecarlo", *pair, "--samples", "5", *grid],
+    ["selfcheck", "--full"],
+]
+report = {"codes": []}
+with contextlib.redirect_stdout(io.StringIO()):
+    for i, argv in enumerate(commands):
+        if argv[0] != "selfcheck":
+            argv = [*argv, "--out", os.path.join(out, f"run{i}.csv")]
+        report["codes"].append(guedyn.cli.main(argv))
+    report["scipy_before_bessel"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    for power in (2, 4):
+        report["codes"].append(guedyn.cli.main(
+            ["analytic", "bessel", "--power", str(power), *grid,
+             "--out", os.path.join(out, f"bessel{power}.csv")]))
+print(json.dumps(report))
+"""
+
+
+class TestImportPath:
+    # The files written while spectral imported j1 at module level.
+    BESSEL = {
+        2: ("tau,bessel_pow2\n0,1\n0.25,0.9391040893465944\n0.5,0.77457807205783646\n"
+            "0.75,0.5534100388602966\n1,0.33261150388220256\n"),
+        4: ("tau,bessel_pow4\n0,1\n0.25,0.88191649062749644\n0.5,0.59997118971283492\n"
+            "0.75,0.30626267111135497\n1,0.11063041251478047\n"),
+    }
+
+    def test_only_bessel_loads_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(guedyn.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["codes"] == [0] * 11
+        assert report["scipy_before_bessel"] == []
+        with open(tmp_path / "run7.csv.manifest.json") as fh:
+            assert "scipy" not in json.load(fh)["environment"]
+        for power, want in self.BESSEL.items():
+            out = tmp_path / f"bessel{power}.csv"
+            assert out.read_text() == want
+            with open(f"{out}.manifest.json") as fh:
+                assert "scipy" in json.load(fh)["environment"]
 
 
 class TestReplay:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -820,3 +821,37 @@ class TestScaledRecurrence:
         h = spectral._h_stack(8 * d, np.array([t]))[0]
         want = (np.diag(h)[:d] @ ((-1.0) ** np.arange(d))) ** 2 + np.sum(h[:d, d:] ** 2)
         assert abs(chi_mean(d, t) - want) <= 1e-12 * want
+
+
+class TestRecurrenceStart:
+    """h_0 = e^{-x/2} t^k / sqrt(k!) at t = 0 and t < 0, where log|t| is
+    -inf or the sign of t^k is restored."""
+
+    TIMES = np.array([-2.5, -0.37, 0.0, 0.01, 1.3])
+
+    @pytest.mark.parametrize("d", [1, 4, 150])
+    def test_no_warning_on_a_grid_through_zero(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if d >= 2:
+                chi_curve("GUE", d, self.TIMES)
+            if d >= 4:
+                xi_curve("GUE", d, self.TIMES)
+            for t in self.TIMES:
+                f_matrix(d, t)
+                trace_f(d, t)
+
+    @pytest.mark.parametrize("d", [1, 4, 150])
+    def test_exact_at_zero(self, d):
+        # H(0) = S, so F(0) = E S E is exactly the identity
+        s = np.diag((-1.0) ** np.arange(d))
+        assert np.array_equal(spectral._h_stack(d, np.array([0.0]))[0], s)
+
+    @pytest.mark.parametrize("d", [1, 4, 150])
+    def test_negative_time_flips_odd_diagonals(self, d):
+        ts = np.abs(self.TIMES[self.TIMES != 0])
+        pos = spectral._h_stack(d, ts)
+        neg = spectral._h_stack(d, -ts)
+        for k in range(d):
+            want = (-1) ** k * np.diagonal(pos, offset=k, axis1=1, axis2=2)
+            assert np.array_equal(np.diagonal(neg, offset=k, axis1=1, axis2=2), want)
