@@ -135,7 +135,10 @@ def run_analytic(cfg):
     if kind == "bessel":
         power = cfg["power"]
         cols = [_col("tau", "analytic", "sqrt(d)*time"), _col(f"bessel_pow{power}", "analytic")]
-        rows = [[tau, spectral.bessel_limit(tau, power)] for tau in times]
+        try:
+            rows = [[tau, spectral.bessel_limit(tau, power)] for tau in times]
+        except ImportError as exc:  # scipy is optional for every other command
+            raise ValueError(f"analytic bessel needs scipy, which is not importable ({exc})") from exc
     else:
         cols = [_col("t", "analytic", "time, lambda=1 units")]
         series = []

@@ -359,6 +359,24 @@ def zeta_of_spectrum(spectrum, t: float) -> float:
     return abs(i1**3 + 2 * i3 + 3 * i1 * i2) ** 2 - 36 * abs(i1) ** 2
 
 
+# The angular maps: the Haar averages over the eigenbasis as functions of the
+# phase sums chi and xi, numbers or arrays alike.  A fixed spectrum gives the
+# closed forms below; an ensemble-averaged chi or xi gives the fully averaged
+# curves of guedyn.spectral.
+
+
+def _rho_map(d: int, chi):
+    """(p1, pmix) = ((chi - 1)/(d^2 - 1), (d^2 - chi)/(d^2 - 1))."""
+    return (chi - 1) / (d * d - 1), (d * d - chi) / (d * d - 1)
+
+
+def _purity_map(d_A: int, d_B: int, xi):
+    """xi/(d^2 (d-1)(d+3)) (1 - frac) + frac, frac = (d_A + d_B)/(d + 1)."""
+    d = d_A * d_B
+    frac = (d_A + d_B) / (d + 1)
+    return xi / (d * d * (d - 1) * (d + 3)) * (1 - frac) + frac
+
+
 def rho_coefficients_closed_form(
     d_A: int, d_B: int, spectrum, t: float
 ) -> tuple[float, float]:
@@ -366,17 +384,12 @@ def rho_coefficients_closed_form(
 
     <rho_A> = (chi - 1)/(d^2 - 1) |1_A><1_A| + (d^2 - chi)/(d^2 - 1) 1_A/d_A.
     """
-    d = d_A * d_B
-    chi = chi_of_spectrum(spectrum, t)
-    return (chi - 1) / (d * d - 1), (d * d - chi) / (d * d - 1)
+    return _rho_map(d_A * d_B, chi_of_spectrum(spectrum, t))
 
 
 def purity_closed_form(d_A: int, d_B: int, spectrum, t: float) -> float:
     """Eigenbasis-averaged purity at fixed spectrum (compact closed form)."""
-    d = d_A * d_B
-    xi = xi_of_spectrum(spectrum, t)
-    frac = (d_A + d_B) / (d + 1)
-    return xi / (d * d * (d - 1) * (d + 3)) * (1 - frac) + frac
+    return _purity_map(d_A, d_B, xi_of_spectrum(spectrum, t))
 
 
 def third_moment_closed_form(d_A: int, d_B: int, spectrum, t: float) -> float:

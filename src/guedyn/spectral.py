@@ -26,6 +26,16 @@ F(-t) = E^-1 H E^-1, so in a loop trace neighbouring E's cancel when the
 signs differ and leave S = diag((-1)^mu) when they agree, and Tr F =
 Tr(S H).  Only :func:`f_matrix` forms the complex F.
 
+The averaged curves follow the paper's split into a radial and an angular
+part.  The radial part averages products of phase sums
+iota(m t) = sum_n e^{i E_n m t}: chi = iota(t) iota(-t) and
+xi = |iota(t)^2 + iota(2t)|^2 - 4 |iota(t)|^2 are written as weighted phase
+monomials, and one rule (see _phase_average) averages any such sum for
+either level statistics, through sums over distinct levels that are
+n-point correlators for GUE and products of exponential characteristic
+functions for POISSON.  The angular part maps <chi> and <xi> to the
+averaged state and purity with the maps of guedyn.haar.
+
 The time grid is the unit of work: each averaged quantity is one function
 of (statistics, dimensions, times) returning an array over the grid, and
 the recurrence runs once per grid chunk, batched over t.  The
@@ -43,6 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import haar
 from .errors import NumericalError
 from .symgroup import Permutation
 
@@ -100,7 +111,7 @@ def _tables(d: int):
 
 
 def _finite(values, what: str):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalError(f"non-finite {what}")
     return values
 
@@ -187,7 +198,7 @@ def _h_stack(d: int, times: np.ndarray) -> np.ndarray:
 
 def _trace_s(h: np.ndarray) -> np.ndarray:
     """Tr(S H) over a stack: the real trace of F."""
-    return (np.diagonal(h, axis1=1, axis2=2) * _tables(h.shape[-1])[0]).sum(-1)
+    return (h.diagonal(0, 1, 2) * _tables(h.shape[-1])[0]).sum(-1)
 
 
 def f_matrix(d: int, t: float) -> np.ndarray:
@@ -280,15 +291,15 @@ def _correlators(coeff_sets, d: int, times: np.ndarray) -> list[np.ndarray]:
     scales = {c for key in keys for c, _ in key}
     out = [np.empty(times.size) for _ in coeff_sets]
     for sl in _chunks(d, times.size):
-        stacks = {s: _finite(_h_stack(d, s * times[sl]), f"F at d={d}") for s in scales}
+        stacks = {s: _h_stack(d, s * times[sl]) for s in scales}
         traces = _loop_traces(keys, stacks, d)
         for total, terms in zip(out, expansions):
             acc = 0.0
             for sign, loops in terms:
-                term = sign
-                for key in loops:
+                term = traces[loops[0]]
+                for key in loops[1:]:
                     term = term * traces[key]
-                acc = acc + term
+                acc = acc + term if sign > 0 else acc - term
             total[sl] = acc
     return out
 
@@ -312,69 +323,87 @@ def correlator(coeffs, d: int, t: float) -> float:
     return float(_finite(value, f"correlator {coeffs} at d={d}, t={t}")[0])
 
 
+# chi = iota(t) iota(-t) and xi = |iota(t)^2 + iota(2t)|^2 - 4 |iota(t)|^2
+# as weighted phase monomials: (w, (m_1, ..., m_r)) is w prod_j iota(m_j t).
+_CHI = ((1, (1, -1)),)
+_XI = ((1, (1, 1, -1, -1)), (1, (1, 1, -2)), (1, (2, -1, -1)), (1, (2, -2)), (-4, (1, -1)))
+
+
+@lru_cache(maxsize=64)
+def _distinct_terms(monomials, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The monomials' sum as (key, weight) pairs of distinct-level sums.
+
+    prod_j iota(m_j t) sums prod_j e^{i m_j E_{n_j} t} over index tuples;
+    the positions that share a level form a set partition, and each block B
+    is one level carrying c_B = sum_{j in B} m_j, distinct from the others.
+    A block with c_B = 0 only takes up a level, so z of them after k nonzero
+    ones count perm(d - k, z) ways.  The key is the sorted nonzero c_B, and
+    its sum over distinct levels is the prefactored correlator of the key
+    (1 for the empty key).  The set partitions of the positions are the
+    cycle sets of their permutations, taken once each in first-seen order.
+    """
+    weights = {}
+    for weight, multiples in monomials:
+        perms = Permutation.all_elements(len(multiples))
+        for blocks in dict.fromkeys(frozenset(map(frozenset, p.cycles())) for p in perms):
+            sums = [sum(multiples[j - 1] for j in block) for block in blocks]
+            key = tuple(sorted(c for c in sums if c))
+            count = math.perm(d - len(key), len(sums) - len(key))
+            weights[key] = weights.get(key, 0) + weight * count
+    return tuple((key, weight) for key, weight in weights.items() if weight)
+
+
+def _phase_average(statistics: str, monomials, d: int, times: np.ndarray) -> np.ndarray:
+    """Ensemble average of the weighted phase monomials over a time grid.
+
+    Each key of :func:`_distinct_terms` is, for GUE, its correlator from
+    :func:`_correlators`.  For POISSON the levels are i.i.d. exponential
+    with mean theta = sqrt(d+1), as ``models.build_model`` draws them, so a
+    key of k blocks is perm(d, k) prod_B phi(c_B t) with
+    phi(s) = <e^{isE}> = 1/(1 - i theta s); the monomials' sum is real, so
+    only the real parts are kept.
+    """
+    terms = _distinct_terms(monomials, d)
+    keys = [key for key, _ in terms if key]
+    if statistics == "GUE":
+        values = _correlators(keys, d, times)
+    else:
+        theta = math.sqrt(d + 1)
+        phi = {c: 1 / (1 - 1j * theta * c * times) for c in {c for key in keys for c in key}}
+        values = [math.perm(d, len(key)) * math.prod(phi[c] for c in key).real for key in keys]
+    value = dict(zip(keys, values))
+    out = np.zeros(times.size)
+    for key, weight in terms:
+        out += value[key] * weight if key else weight
+    return out
+
+
 def chi_curve(statistics: str, d: int, times) -> np.ndarray:
-    """Ensemble average of chi(t) = |iota(t)|^2 over a time grid.
+    """Ensemble average of chi(t) = |iota(t)|^2 = iota(t) iota(-t) over a
+    time grid: d + <sum over distinct levels of e^{i(E1-E2)t}>.
 
-    GUE:      <chi(t)> = d(d-1) <e^{i(E1-E2)t}> + d
-                       = (Tr F)^2 - Tr[F(t) F(-t)] + d
-                       = (Tr F)^2 - sum_ij |F_ij|^2 + d
-                       = Tr(S H)^2 - sum_ij H_ij^2 + d,
-    exact because F is symmetric and F(-t) = conj F(t); O(d^2) per time.
-
-    POISSON:  d + d(d-1) / ((d+1) t^2 + 1), uncorrelated energies with the
-    gap scale matched to the Gaussian ensemble second moment.
+    GUE levels form the Gaussian unitary eigenvalue gas; POISSON levels are
+    uncorrelated, with the gap scale matched to the Gaussian ensemble second
+    moment, which gives d + d(d-1) / ((d+1) t^2 + 1).
     """
     _check_statistics(statistics)
     if d < 2:
         raise ValueError("d must be >= 2")
-    times = _grid(times)
-    if statistics == "POISSON":
-        out = d + d * (d - 1) / ((d + 1) * times * times + 1)
-    else:
-        out = np.empty(times.size)
-        for sl in _chunks(d, times.size):
-            h = _h_stack(d, times[sl])
-            tr = _trace_s(h)
-            # a row sum of the flat stack adds each time's squares in the
-            # same order whatever the chunk length
-            sq = np.square(h, out=h).reshape(len(h), d * d).sum(axis=1)
-            out[sl] = tr * tr - sq + d
-    return _finite(out, f"<chi> at d={d}")
+    return _finite(_phase_average(statistics, _CHI, d, _grid(times)), f"<chi> at d={d}")
 
 
 def xi_curve(statistics: str, d: int, times) -> np.ndarray:
-    """Ensemble average of the purity phase sum xi(t) over a time grid.
+    """Ensemble average of the purity phase sum
+    xi(t) = |iota(t)^2 + iota(2t)|^2 - 4 |iota(t)|^2 over a time grid.
 
-    GUE: decomposes into the two-point correlator at t and 2t, both
-    three-point correlators, the four-point correlator and a constant:
-    4 C2(2t) + 2 C3(2,-1,-1) + 2 C3(1,1,-2) + C4(1,1,-1,-1)
-    + 4(d-1) C2(t) + 2d(d-1).  At t = 0 this is d^2 (d-1)(d+3); the late
-    time value is 2d(d-1).
-
-    POISSON: uncorrelated energies with mu^2 = 1/(d+1).
+    Its distinct-level expansion holds the two-point correlators at t and
+    2t, both three-point correlators, the four-point correlator and the
+    constant 2d(d-1), the late-time value.  At t = 0 it is d^2 (d-1)(d+3).
     """
     _check_statistics(statistics)
     if d < 4:
         raise ValueError("d must be >= 4 (four-point correlator)")
-    times = _grid(times)
-    if statistics == "POISSON":
-        m2 = 1.0 / (d + 1)
-        t2 = times * times
-        p3 = d * (d - 1) * (d - 2)
-        p4 = p3 * (d - 3)
-        out = (
-            4 * d * (d - 1) * m2 / (m2 + 4 * t2)
-            + 4 * p3 * m2 * m2 * (m2 + 3 * t2) / ((m2 + t2) ** 2 * (m2 + 4 * t2))
-            + p4 * (m2 / (m2 + t2)) ** 2
-            + 4 * d * (d - 1) ** 2 * m2 / (m2 + t2)
-            + 2 * d * (d - 1)
-        )
-    else:
-        c2_t, c2_2t, c3_a, c3_b, c4 = _correlators(
-            [(1, -1), (2, -2), (2, -1, -1), (1, 1, -2), (1, 1, -1, -1)], d, times
-        )
-        out = 4 * c2_2t + 2 * c3_a + 2 * c3_b + c4 + 4 * (d - 1) * c2_t + 2 * d * (d - 1)
-    return _finite(out, f"<xi> at d={d}")
+    return _finite(_phase_average(statistics, _XI, d, _grid(times)), f"<xi> at d={d}")
 
 
 def rho_curve(statistics: str, d_A: int, d_B: int, times) -> tuple[np.ndarray, np.ndarray]:
@@ -386,8 +415,7 @@ def rho_curve(statistics: str, d_A: int, d_B: int, times) -> tuple[np.ndarray, n
     d = d_A * d_B
     if d < 2:
         raise ValueError("d_A * d_B must be >= 2")
-    chi = chi_curve(statistics, d, times)
-    return (chi - 1) / (d * d - 1), (d * d - chi) / (d * d - 1)
+    return haar._rho_map(d, chi_curve(statistics, d, times))
 
 
 def purity_curve(statistics: str, d_A: int, d_B: int, times) -> np.ndarray:
@@ -403,9 +431,7 @@ def purity_curve(statistics: str, d_A: int, d_B: int, times) -> np.ndarray:
     times = _grid(times)
     if d_A == 1 or d_B == 1:
         return np.ones(times.size)
-    d = d_A * d_B
-    frac = (d_A + d_B) / (d + 1)
-    return xi_curve(statistics, d, times) / (d * d * (d - 1) * (d + 3)) * (1 - frac) + frac
+    return haar._purity_map(d_A, d_B, xi_curve(statistics, d_A * d_B, times))
 
 
 def _at(curve, t, *args):
@@ -461,16 +487,18 @@ def purity_poisson(d_A: int, d_B: int, t: float | np.ndarray) -> float | np.ndar
 
 
 def purity_limit(d_A: int, d_B: int) -> float:
-    """Late-time purity, 2/(d(d+3)) (1 - (dA+dB)/(d+1)) + (dA+dB)/(d+1).
+    """Late-time purity, 2/(d(d+3)) (1 - (dA+dB)/(d+1)) + (dA+dB)/(d+1): the
+    purity map at the late-time <xi> = 2d(d-1).
 
     Exceeds the trace-measure average (dA+dB)/(d+1) by a remnant of the
     initial purity.
     """
     if d_A < 1 or d_B < 1:
         raise ValueError("dimensions must be >= 1")
+    if d_A == 1 or d_B == 1:
+        return 1.0
     d = d_A * d_B
-    frac = (d_A + d_B) / (d + 1)
-    return 2 / (d * (d + 3)) * (1 - frac) + frac
+    return haar._purity_map(d_A, d_B, 2 * d * (d - 1))
 
 
 def bessel_limit(tau: float, power: int = 2) -> float:

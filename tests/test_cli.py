@@ -392,6 +392,21 @@ class TestImportPath:
             with open(f"{out}.manifest.json") as fh:
                 assert "scipy" in json.load(fh)["environment"]
 
+    def test_bessel_without_scipy_is_argument_error(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(guedyn.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "bessel.csv"
+        script = ("import sys; sys.modules['scipy'] = None; import guedyn.cli; "
+                  "sys.exit(guedyn.cli.main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "analytic", "bessel", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "scipy" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == []
+
 
 class TestReplay:
     """The manifest alone reproduces the data file: every option resolves

@@ -750,6 +750,95 @@ class TestLoopKeys:
         assert len(same) == 1
 
 
+def chi_poisson_closed(d, t):
+    """d + d(d-1) |phi(t)|^2 with |phi(t)|^2 = 1/(1 + (d+1) t^2)."""
+    return d + d * (d - 1) / ((d + 1) * t * t + 1)
+
+
+def xi_poisson_closed(d, t):
+    """The hand-derived Poisson <xi>, with mu^2 = 1/(d+1) the squared rate."""
+    m2 = 1.0 / (d + 1)
+    t2 = t * t
+    p3 = d * (d - 1) * (d - 2)
+    p4 = p3 * (d - 3)
+    return (
+        4 * d * (d - 1) * m2 / (m2 + 4 * t2)
+        + 4 * p3 * m2 * m2 * (m2 + 3 * t2) / ((m2 + t2) ** 2 * (m2 + 4 * t2))
+        + p4 * (m2 / (m2 + t2)) ** 2
+        + 4 * d * (d - 1) ** 2 * m2 / (m2 + t2)
+        + 2 * d * (d - 1)
+    )
+
+
+def chi_gue_identity(d, times):
+    """<chi> = Tr(S H)^2 - sum_ij H_ij^2 + d, exact because F is symmetric
+    and F(-t) = conj F(t): an O(d^2) route through no correlator."""
+    h = spectral._h_stack(d, np.asarray(times, dtype=float))
+    trace = np.einsum("tii,i->t", h, (-1.0) ** np.arange(d))
+    return trace * trace - np.square(h).sum(axis=(1, 2)) + d
+
+
+# chi = iota(t) iota(-t) and xi = |iota(t)^2 + iota(2t)|^2 - 4 |iota(t)|^2,
+# written out as (weight, multiples) phase monomials.
+CHI_MONOMIALS = [(1, (1, -1))]
+XI_MONOMIALS = [(1, (1, 1, -1, -1)), (1, (1, 1, -2)), (1, (2, -1, -1)), (1, (2, -2)),
+                (-4, (1, -1))]
+
+
+def poisson_brute(monomials, d, t):
+    """sum_w w prod_j iota(m_j t) averaged over i.i.d. exponential levels of
+    mean sqrt(d+1), index tuple by index tuple: the d^r tuples of each
+    monomial, and per tuple the product over distinct levels v of
+    phi(sum_{k: j_k = v} m_k t), phi(s) = 1/(1 - i sqrt(d+1) s)."""
+    theta = math.sqrt(d + 1)
+    total = 0j
+    for weight, multiples in monomials:
+        for idx in itertools.product(range(d), repeat=len(multiples)):
+            sums = {}
+            for j, m in zip(idx, multiples):
+                sums[j] = sums.get(j, 0) + m
+            total += weight * math.prod(1 / (1 - 1j * theta * c * t) for c in sums.values())
+    return total
+
+
+class TestPhaseMonomials:
+    """chi_curve and xi_curve average their phase-monomial definitions; the
+    hand-derived formulas they replaced are the references here."""
+
+    @pytest.mark.parametrize("d", range(4, 13))
+    def test_xi_distinct_terms(self, d):
+        want = {(): 2 * d * (d - 1), (-1, 1): 4 * (d - 1), (-2, 2): 4, (-2, 1, 1): 2,
+                (-1, -1, 2): 2, (-1, -1, 1, 1): 1}
+        assert dict(spectral._distinct_terms(spectral._XI, d)) == want
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_chi_distinct_terms(self, d):
+        assert dict(spectral._distinct_terms(spectral._CHI, d)) == {(): d, (-1, 1): 1}
+
+    @pytest.mark.parametrize("d", [4, 9, 60, 150])
+    def test_chi_against_closed_forms(self, d):
+        want = np.array([chi_poisson_closed(d, t) for t in GRID_POINTS])
+        got = chi_curve("POISSON", d, GRID_POINTS)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        want = chi_gue_identity(d, GRID_POINTS)
+        assert np.max(np.abs(chi_curve("GUE", d, GRID_POINTS) - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("d", [4, 9, 60])
+    def test_xi_poisson_against_closed_form(self, d):
+        want = np.array([xi_poisson_closed(d, t) for t in GRID_POINTS])
+        got = xi_curve("POISSON", d, GRID_POINTS)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_poisson_against_index_tuples(self):
+        d = 5
+        for monomials, curve in ((CHI_MONOMIALS, chi_curve), (XI_MONOMIALS, xi_curve)):
+            got = curve("POISSON", d, GRID_POINTS)
+            for t, value in zip(GRID_POINTS, got):
+                want = poisson_brute(monomials, d, t)
+                assert abs(want.imag) <= 1e-12 * abs(want.real)
+                assert abs(value - want.real) <= 1e-12 * abs(want.real)
+
+
 def chi_trace_mp(d, t):
     """(<chi>, Tr F) at 30 digits, all in mpmath: with x = t^2 and
     L = L^(k)_n(x) from its three-term recurrence, |F[n, n+k]|^2 is the product
