@@ -513,6 +513,53 @@ class TestExtremaRefinement:
         with pytest.raises(NumericalError):
             find_extrema(lambda t: math.nan if t > 0.5 else t, 1.0)
 
+    @pytest.mark.parametrize("d,window", [(13, 1.25), (60, 1.0)])
+    def test_first_minimum_against_30_digit_reference(self, d, window):
+        (t_min, value), *_ = find_extrema(lambda t: chi_mean(d, t), window)
+        with mp.workdps(30):
+            t_want = mp.findroot(
+                lambda s: mp.diff(lambda u: chi_trace_mpf(d, u)[0], s), mp.mpf(t_min))
+            v_want = float(chi_trace_mpf(d, t_want)[0])
+        # the resolution stated in find_extrema's docstring
+        assert abs(t_min - float(t_want)) <= 5e-9
+        assert abs(value - v_want) <= 1e-15 * d * d  # chi is a difference of O(d^2) terms
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: abs(t - 1.3),  # V-shaped: no curvature at the vertex
+        lambda t: np.maximum(abs(t - 1.3), 4e-4),  # equal values across the bracket
+    ])
+    def test_degenerate_curvature(self, fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a 0/0 or x/0 would warn
+            (t_min, value), = find_extrema(fn, 3.0)
+        assert math.isfinite(t_min) and math.isfinite(value)
+        assert abs(t_min - 1.3) <= 1e-3 and value == fn(t_min)
+
+    def test_zoom_stops_at_the_value_noise(self):
+        # the noise floor is 1024 eps 1e6 = 2.3e-7: the scan triple's second
+        # difference 2 step^2 = 2e-6 resolves, that of the first round's cells
+        # (s = 2e-4, 8e-8) does not, so one round and the vertex follow the scan
+        sizes = []
+
+        def fn(t):
+            sizes.append(np.size(t))
+            return (t - 1.3) ** 2 + 1e6
+
+        (t_min, _), = find_extrema(fn, 3.0)
+        assert len(sizes) == math.ceil(3001 / spectral._SCAN_BLOCK) + 2
+        assert abs(t_min - 1.3) <= 1e-6
+
+    @pytest.mark.parametrize("t_max,step,tol", [
+        (1.0, 1e-3, 0.0), (1.0, 1e-3, math.nan), (1.0, 1e-3, -1e-8),
+        (math.nan, 1e-3, 1e-8), (math.inf, 1e-3, 1e-8), (0.0, 1e-3, 1e-8),
+        (1.0, math.nan, 1e-8), (1.0, math.inf, 1e-8), (1.0, -1e-3, 1e-8),
+    ])
+    def test_invalid_arguments_raise_before_any_call(self, t_max, step, tol):
+        calls = []
+        with pytest.raises(ValueError, match="t_max, step and tol must be finite and positive"):
+            find_extrema(calls.append, t_max, step, tol)
+        assert not calls
+
 
 def scalar_only(fn):
     """fn restricted to one time per call, as find_extrema's fallback sees it."""
@@ -579,11 +626,17 @@ class TestBlockScan:
             sizes.append(np.size(t) if np.ndim(t) else None)
             return chi_mean(13, t)
 
-        find_extrema(fn, 1.25)
-        array_calls = [s for s in sizes if s is not None]
-        assert len(array_calls) == math.ceil(1251 / spectral._SCAN_BLOCK)
-        assert sum(array_calls) == 1251
-        assert max(array_calls) == spectral._SCAN_BLOCK
+        m = len(find_extrema(fn, 1.25))
+        block = spectral._SCAN_BLOCK
+        n_scan = math.ceil(1251 / block)
+        scan, later = sizes[:n_scan], sizes[n_scan:]
+        assert None not in scan and sum(scan) == 1251 and max(scan) == block
+        assert later and None not in later and max(later) <= block
+        # the bound stated in find_extrema's docstring: R rounds of
+        # ceil(points m / block) calls, then ceil(m / block) for the vertices
+        points = spectral._ZOOM_POINTS
+        rounds = 1 + math.floor(math.log(2 * 1e-3 / 1e-8, points // 2 + 1))
+        assert len(later) <= rounds * math.ceil(points * m / block) + math.ceil(m / block)
 
     def test_wrong_shape_falls_back_to_per_point(self):
         calls = []
@@ -840,29 +893,34 @@ class TestPhaseMonomials:
 
 
 def chi_trace_mp(d, t):
-    """(<chi>, Tr F) at 30 digits, all in mpmath: with x = t^2 and
+    """(<chi>, Tr F) at 30 digits, as floats (see chi_trace_mpf)."""
+    with mp.workdps(30):
+        return tuple(float(v) for v in chi_trace_mpf(d, t))
+
+
+def chi_trace_mpf(d, t):
+    """(<chi>, Tr F) at the working precision, all in mpmath: with x = t^2 and
     L = L^(k)_n(x) from its three-term recurrence, |F[n, n+k]|^2 is the product
     e^{-x} x^k n!/(n+k)! L^2 (the square of e^{-x/2} t^k sqrt(n!/(n+k)!) L),
-    and F[n, n] = e^{-x/2} L^(0)_n(x).  No float enters before the result."""
-    with mp.workdps(30):
-        x = mp.mpf(t) ** 2
-        trace, squares = 0, 0
-        c_k = mp.exp(-x)  # e^{-x} x^k / k!
-        for k in range(d):
+    and F[n, n] = e^{-x/2} L^(0)_n(x).  No float enters."""
+    x = mp.mpf(t) ** 2
+    trace, squares = 0, 0
+    c_k = mp.exp(-x)  # e^{-x} x^k / k!
+    for k in range(d):
+        if k:
+            c_k = c_k * x / k
+        lag_prev, lag, c = 0, mp.mpf(1), c_k
+        for n in range(d - k):
+            if n:
+                lag_prev, lag = lag, ((2 * n - 1 + k - x) * lag
+                                      - (n - 1 + k) * lag_prev) / n
+                c = c * n / (n + k)
             if k:
-                c_k = c_k * x / k
-            lag_prev, lag, c = 0, mp.mpf(1), c_k
-            for n in range(d - k):
-                if n:
-                    lag_prev, lag = lag, ((2 * n - 1 + k - x) * lag
-                                          - (n - 1 + k) * lag_prev) / n
-                    c = c * n / (n + k)
-                if k:
-                    squares += 2 * c * lag * lag
-                else:
-                    squares += c * lag * lag
-                    trace += mp.sqrt(c) * lag
-        return float(trace * trace - squares + d), float(trace)
+                squares += 2 * c * lag * lag
+            else:
+                squares += c * lag * lag
+                trace += mp.sqrt(c) * lag
+    return trace * trace - squares + d, trace
 
 
 class TestScaledRecurrence:
