@@ -6,8 +6,9 @@ package provides:
 
 * :mod:`guedyn.symgroup` -- exact symmetric-group combinatorics and
   Weingarten functions (arbitrary-precision rationals);
-* :mod:`guedyn.haar` -- symbolic averages of density-matrix trace moments
-  over the eigenbasis group, via direct permutation-pair enumeration;
+* :mod:`guedyn.haar` -- exact symbolic averages of density-matrix trace
+  moments over the eigenbasis group, with the permutation pairs counted
+  through one class table of sigma tau^-1;
 * :mod:`guedyn.spectral` -- eigenvalue-gas correlators, averaged curves
   (chi, xi, density-matrix coefficients, purity), Poisson-statistics
   counterparts, the large-d scaling limit, and extremum finding;

@@ -109,6 +109,8 @@ def _environment(config):
 
 
 def _time_grid(t_max, dt):
+    if not (np.isfinite(t_max) and np.isfinite(dt)):
+        raise ValueError(f"--t-max and --dt must be finite, got t-max={t_max}, dt={dt}")
     if dt <= 0 or t_max < dt:
         raise ValueError("need dt > 0 and t-max >= dt")
     return np.arange(0.0, t_max + 0.5 * dt, dt)

@@ -10,7 +10,10 @@ where ``R_sigma`` contracts the outer (row/column) index pattern and
 For the n-th trace moment of the reduced density matrix of an ``A``
 subsystem (dimension ``d_A``) coupled to a bath (``d_B``), q = 2n and
 
-* ``R_sigma`` is a monomial ``d_A^a d_B^b`` (free index classes),
+* ``R_sigma`` is a monomial ``d_A^a d_B^b``: every symbol occurs once among
+  the V indices and once among the V^dagger ones, so the deltas tie the
+  symbols of each subsystem into chains, fixed at the initial-state label,
+  and closed cycles, and ``a``, ``b`` count the closed cycles,
 * ``Q_tau``   is a product of spectral phase sums
   ``iota(m t) = sum_j exp(i E_j m t)``, one factor per cycle of tau, with
   ``m`` the sum of the phase coefficients around the cycle (m = 0 gives d).
@@ -51,7 +54,7 @@ __all__ = [
 ]
 
 # A slot in the index lists is either ONE (the fixed initial-state label)
-# or a composite (a_symbol, b_symbol) pair of integer symbol ids.
+# or a composite (a_symbol, b_symbol) pair of hashable symbol ids.
 ONE = None
 
 # Rows of sigma per bincount when counting permutation pairs.
@@ -70,6 +73,17 @@ class MonomialSpec:
     def __post_init__(self):
         if not (len(self.I) == len(self.I_prime) == len(self.phase_coeffs) == self.q):
             raise ValueError("slot lists must all have length q")
+        # compute_R follows ties symbol by symbol, which needs each symbol to
+        # occur once in I and once in I', at the same position of its slot.
+        sides = [
+            [(s, pos) for slot in side if slot is not ONE for pos, s in enumerate(slot)]
+            for side in (self.I, self.I_prime)
+        ]
+        placed = [dict(side) for side in sides]
+        if placed[0] != placed[1] or any(len(p) != len(s) for p, s in zip(placed, sides)):
+            raise ValueError(
+                "each symbol must occur once in I and once in I', at the same slot position"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,66 +141,35 @@ def build_trace_moment_spec(n: int) -> MonomialSpec:
     return MonomialSpec(2 * n, tuple(I), tuple(I_prime), coeffs)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-        self.pinned = set()
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-        if rx in self.pinned or ry in self.pinned:
-            self.pinned.update((rx, ry))
-
-    def pin(self, x):
-        self.pinned.add(self.find(x))
-
-    def is_pinned(self, x):
-        return self.find(x) in self.pinned
-
-
-def _contract_outer(spec: MonomialSpec, sigma: Permutation) -> _UnionFind:
-    # delta_{I, sigma(I')} = prod_l delta_{I_l, I'_{sigma(l)}}
-    uf = _UnionFind()
-    for slot in range(1, spec.q + 1):
-        left = spec.I[slot - 1]
-        right = spec.I_prime[sigma(slot) - 1]
-        if left is ONE and right is ONE:
-            continue
-        if left is ONE or right is ONE:
-            comp = right if left is ONE else left
-            uf.pin(comp[0])
-            uf.pin(comp[1])
-        else:
-            uf.union(left[0], right[0])
-            uf.union(left[1], right[1])
-    return uf
-
-
 def compute_R(spec: MonomialSpec, sigma: Permutation) -> RValue:
     """Contract the outer Kronecker deltas delta_{I, sigma(I')}.
 
-    Symbols equated with the fixed label are pinned; every surviving free
-    symbol class contributes one factor of its subsystem dimension.
+    Slot l ties each symbol of I_l to the symbol in the same position of
+    I'_{sigma(l)}, or fixes it to the initial-state label when that slot is
+    ONE.  Since every symbol occurs once in I and once in I', the ties of
+    one subsystem form chains, whose ends meet ONE and so are fixed, and
+    closed cycles, which are free: R_sigma = d_A^a d_B^b with a and b the
+    numbers of closed tie cycles.
     """
     if sigma.q != spec.q:
         raise ValueError("permutation size must match spec")
-    uf = _contract_outer(spec, sigma)
-    symbols = {s for slot in spec.I + spec.I_prime if slot is not ONE for s in slot}
-    free_roots = {uf.find(s) for s in symbols if not uf.is_pinned(s)}
-    a_free = sum(1 for r in free_roots if r[0] == "a")
-    b_free = sum(1 for r in free_roots if r[0] == "b")
-    return RValue(a_free, b_free)
+    free = [0, 0]
+    for pos in (0, 1):
+        tie = {}
+        for slot, left in enumerate(spec.I, 1):
+            if left is not ONE:
+                right = spec.I_prime[sigma(slot) - 1]
+                tie[left[pos]] = None if right is ONE else right[pos]
+        seen = set()
+        for start in tie:
+            if start in seen:
+                continue
+            s = start
+            while s is not None and s not in seen:
+                seen.add(s)
+                s = tie[s]
+            free[pos] += s == start
+    return RValue(*free)
 
 
 def compute_Q(spec: MonomialSpec, tau: Permutation) -> QValue:

@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, log2
+from math import comb, isfinite, log2
 
 import numpy as np
 
 from . import spectral
+from .errors import NumericalError
 from .sim import (
     MCResult,
     RngStream,
@@ -341,7 +342,8 @@ class ModelSpec:
     ``d_a`` and ``d_b`` are the subsystem dimensions; spin families require
     both to be powers of two (s_a = log2 d_a spins belong to A).  The chain
     families and SYK need at least two spins, CS at least one central spin.
-    Couplings not named by the family are ignored.
+    Couplings not named by the family are ignored; every coupling must be
+    finite.
     """
 
     family: str
@@ -366,6 +368,9 @@ class ModelSpec:
                 raise ValueError(f"{self.family} chain needs at least 2 spins")
             if self.family == "CS" and self.s_a < 1:
                 raise ValueError("CS needs at least one central spin")
+        for name, value in self.couplings.items():
+            if not isfinite(float(value)):
+                raise ValueError(f"coupling {name} must be finite, got {value}")
 
     @property
     def d(self) -> int:
@@ -465,7 +470,8 @@ def rescale_energies(spectra) -> float:
     """Multiplicative energy scale matching the Gaussian-ensemble spread.
 
     Returns the single factor c such that the pooled ensemble average of
-    (c E_i - c E_j)^2 over distinct pairs equals 2(d+1).
+    (c E_i - c E_j)^2 over distinct pairs equals 2(d+1).  A non-finite
+    pooled moment raises NumericalError.
     """
     spectra = np.asarray(spectra, dtype=float)
     if spectra.ndim == 1:
@@ -479,6 +485,8 @@ def _moment_scale(d, tot, sq) -> float:
     if d < 2:
         raise ValueError("spectra need at least 2 levels")
     pair_mean = (2 * d * sq - 2 * tot**2).sum() / (tot.size * d * (d - 1))
+    if not np.isfinite(pair_mean):
+        raise NumericalError(f"non-finite pair second moment {pair_mean} in the energy scale")
     if pair_mean <= 0:
         raise ValueError("degenerate ensemble: zero pair second moment")
     return float(np.sqrt(2 * (d + 1) / pair_mean))

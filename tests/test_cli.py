@@ -164,6 +164,15 @@ class TestMonteCarlo:
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".manifest.json")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coupling_is_argument_error(self, tmp_path, capsys, value):
+        out = str(tmp_path / "x.csv")
+        assert main(["montecarlo", "--model", "XXZ", "--dA", "2", "--dB", "2",
+                     "--J", value, "--samples", "2", "--out", out]) == 2
+        assert f"coupling J must be finite, got {value}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest.json")
+
 
 class TestGaps:
     def test_histogram_weights_sum_to_one(self, tmp_path):
@@ -256,6 +265,22 @@ class TestConfigFile:
         assert main(["analytic", "chi", "--config", str(path), "--out", out]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+    @pytest.mark.parametrize("argv,cfg", [
+        (["analytic", "chi", "--d", "4", "--dt", "nan"], None),
+        (["analytic", "chi", "--d", "4"], '{"t-max": NaN}'),
+        (["montecarlo", "--samples", "2", "--t-max", "inf"], None),
+    ])
+    def test_non_finite_time_grid_is_argument_error(self, tmp_path, capsys, argv, cfg):
+        out = str(tmp_path / "c.csv")
+        if cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(cfg)
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--out", out]) == 2
+        assert "--t-max and --dt must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest.json")
+
 
 class TestAtomicOutput:
     def test_failed_manifest_dump_leaves_no_partial_file(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Symbolic Haar-average engine against its closed forms and a brute-force
 Monte Carlo oracle."""
 
+import itertools
 from fractions import Fraction
 from operator import itemgetter
 
@@ -9,6 +10,7 @@ import pytest
 
 from guedyn.haar import (
     ONE,
+    MonomialSpec,
     build_trace_moment_spec,
     chi_of_spectrum,
     compute_Q,
@@ -45,6 +47,18 @@ class TestMonomialSpec:
         assert spec.q == 6
         assert spec.I_prime[5] == (A(1), B(3))
         assert spec.phase_coeffs == (-1, 1, -1, 1, -1, 1)
+
+    @pytest.mark.parametrize("I,I_prime", [
+        # A(1) twice in I (and, to balance, twice in I')
+        (((A(1), B(1)), ONE, (A(1), B(2)), ONE), (ONE, (A(1), B(1)), ONE, (A(1), B(2)))),
+        # A(2) only in I'
+        (((A(1), B(1)), ONE, (A(1), B(2)), ONE), (ONE, (A(2), B(1)), ONE, (A(1), B(2)))),
+        # A(1) and B(1) change places between I and I'
+        (((A(1), B(1)), ONE), (ONE, (B(1), A(1)))),
+    ])
+    def test_each_symbol_once_per_side(self, I, I_prime):
+        with pytest.raises(ValueError, match="once in I and once in I'"):
+            MonomialSpec(len(I), I, I_prime, (-1, 1) * (len(I) // 2))
 
 
 # Table of all 24 outer and internal contractions for the q = 4 pattern.
@@ -100,6 +114,36 @@ class TestContractions:
         assert compute_Q(spec, ident).iota_multiples == (-1, -1, 1, 1)
         four_cycle = Permutation.from_cycles(4, (1, 2, 3, 4))
         assert compute_Q(spec, four_cycle).iota_multiples == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_r_counts_index_assignments(self, n):
+        # Brute-force oracle: with d_A = 2 and d_B = 3, R_sigma is the number
+        # of assignments of a-symbols to range(2) and b-symbols to range(3)
+        # that satisfy delta_{I_l, I'_{sigma(l)}} for every slot l, where ONE
+        # is the fixed label 0 of both subsystems.
+        spec = build_trace_moment_spec(n)
+        a_syms = sorted({slot[0] for slot in spec.I if slot is not ONE})
+        b_syms = sorted({slot[1] for slot in spec.I if slot is not ONE})
+        grid = np.array([
+            va + vb
+            for va in itertools.product(range(2), repeat=len(a_syms))
+            for vb in itertools.product(range(3), repeat=len(b_syms))
+        ])
+        column = dict(zip(a_syms + b_syms, grid.T))
+        fixed = np.zeros(len(grid), dtype=int)
+
+        def labels(slot):
+            return (fixed, fixed) if slot is ONE else (column[slot[0]], column[slot[1]])
+
+        left = [labels(slot) for slot in spec.I]
+        right = [labels(slot) for slot in spec.I_prime]
+        for sigma in Permutation.all_elements(spec.q):
+            ok = np.ones(len(grid), dtype=bool)
+            for l in range(spec.q):
+                (la, lb), (ra, rb) = left[l], right[sigma(l + 1) - 1]
+                ok &= (la == ra) & (lb == rb)
+            rv = compute_R(spec, sigma)
+            assert ok.sum() == 2**rv.dA_power * 3**rv.dB_power, sigma
 
     def test_phase_balance_property(self):
         # every cycle-sum multiset balances to zero total phase

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from guedyn.errors import NumericalError
 from guedyn.models import (
     DynamicsTrace,
     ModelSpec,
@@ -136,6 +137,13 @@ class TestBuilders:
             ModelSpec("CS", 1, 4)  # no central spin
         ModelSpec("GUE", 3, 5)  # arbitrary dimensions allowed
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, value):
+        with pytest.raises(ValueError, match="coupling J must be finite"):
+            ModelSpec("XXZ", 2, 2, {"J": value})
+        with pytest.raises(ValueError, match="coupling B must be finite"):
+            ModelSpec("GUE", 2, 2, {"J": 1.0, "B": value})  # even if unused
+
     @pytest.mark.parametrize("family", ["TFIM", "DTFIM", "XXZ", "DXXZ", "SG"])
     def test_chains_need_two_spins(self, family):
         # one periodic site would couple the spin to itself (SG: H != H^dag)
@@ -173,6 +181,11 @@ class TestRescaleEnergies:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             rescale_energies(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spectrum_raises(self, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            rescale_energies([[1.0, bad]])
 
 
 class TestDistance:
