@@ -42,14 +42,6 @@ ANALYTIC_KINDS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 @contextmanager
 def _atomic(path):
     """A file opened on a temp sibling of ``path`` and moved onto it by
@@ -66,21 +58,19 @@ def _atomic(path):
         raise
 
 
-def _write_output(path, fmt, columns, rows, manifest):
-    """Write the data file and then its sibling manifest, each atomically."""
+def _write_output(path, fmt, table, manifest):
+    """Write the data file of ``table`` (a runner's (column, values) pairs)
+    and then its sibling manifest, each atomically."""
     with _atomic(path) as fh:
         if fmt == "csv":
-            fh.write(",".join(col["name"] for col in columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            header = [col["name"] for col, _ in table]
+            cells = [[v if isinstance(v, str) else format(float(v), ".17g") for v in values]
+                     for _, values in table]
+            fh.writelines(",".join(line) + "\n" for line in [header, *zip(*cells)])
         else:
-            data = {
-                col["name"]: [
-                    v if isinstance(v, str) else float(v) for v in col_vals
-                ]
-                for col, col_vals in zip(columns, zip(*rows))
-            }
-            json.dump({"columns": columns, "data": data}, fh, indent=1)
+            data = {col["name"]: [v if isinstance(v, str) else float(v) for v in values]
+                    for col, values in table}
+            json.dump({"columns": [col for col, _ in table], "data": data}, fh, indent=1)
             fh.write("\n")
     with _atomic(path + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=1, default=str)
@@ -120,15 +110,25 @@ def _col(name, provenance, units="dimensionless"):
     return {"name": name, "provenance": provenance, "units": units}
 
 
+def _distinct(flag, values):
+    """``values``, or a ValueError naming the first one that repeats."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{flag} is given {repeated[0]} twice")
+    return values
+
+
 def _pairs(cfg):
     da, db = cfg["dA"] or [], cfg["dB"] or []
     if len(da) != len(db) or not da:
         raise ValueError("--dA and --dB must be given the same number of times")
-    return list(zip(da, db))
+    return _distinct("--dA/--dB", list(zip(da, db)))
 
 
 # Each runner takes the resolved config (long-flag names to values) and
-# returns the data table as (columns, rows, summary); ``main`` writes it.
+# returns (table, summary).  The table lists the data file's columns in
+# order as (column, values) pairs: a ``_col`` dict and one value per row.
+# ``main`` writes it and puts its columns in the manifest.
 
 
 def run_analytic(cfg):
@@ -136,39 +136,35 @@ def run_analytic(cfg):
     times = _time_grid(cfg["t-max"], cfg["dt"])
     if kind == "bessel":
         power = cfg["power"]
-        cols = [_col("tau", "analytic", "sqrt(d)*time"), _col(f"bessel_pow{power}", "analytic")]
         try:
-            rows = [[tau, spectral.bessel_limit(tau, power)] for tau in times]
+            values = [spectral.bessel_limit(tau, power) for tau in times]
         except ImportError as exc:  # scipy is optional for every other command
             raise ValueError(f"analytic bessel needs scipy, which is not importable ({exc})") from exc
+        return [(_col("tau", "analytic", "sqrt(d)*time"), times),
+                (_col(f"bessel_pow{power}", "analytic"), values)], {}
+    table = [(_col("t", "analytic", "time, lambda=1 units"), times)]
+    statistics = "POISSON" if kind.endswith("-poisson") else "GUE"
+    curve = {
+        "chi": spectral.chi_curve,
+        "xi": spectral.xi_curve,
+        "rho": spectral.rho_curve,
+        "purity": spectral.purity_curve,
+    }[kind.removesuffix("-poisson")]
+    name = kind.replace("-", "_")
+    if kind in ("chi", "xi", "chi-poisson", "xi-poisson"):
+        if not cfg["d"]:
+            raise ValueError(f"analytic {kind} requires --d")
+        for d in _distinct("--d", cfg["d"]):
+            table.append((_col(f"{name}_d{d}", "analytic"), curve(statistics, d, times)))
     else:
-        cols = [_col("t", "analytic", "time, lambda=1 units")]
-        series = []
-        statistics = "POISSON" if kind.endswith("-poisson") else "GUE"
-        curve = {
-            "chi": spectral.chi_curve,
-            "xi": spectral.xi_curve,
-            "rho": spectral.rho_curve,
-            "purity": spectral.purity_curve,
-        }[kind.removesuffix("-poisson")]
-        if kind in ("chi", "xi", "chi-poisson", "xi-poisson"):
-            ds = cfg["d"] or []
-            if not ds:
-                raise ValueError(f"analytic {kind} requires --d")
-            for d in ds:
-                cols.append(_col(f"{kind.replace('-', '_')}_d{d}", "analytic"))
-                series.append(curve(statistics, d, times))
-        else:
-            for d_a, d_b in _pairs(cfg):
-                if kind == "rho":
-                    cols.append(_col(f"rho_p1_dA{d_a}_dB{d_b}", "analytic"))
-                    cols.append(_col(f"rho_pmix_dA{d_a}_dB{d_b}", "analytic"))
-                    series.extend(curve(statistics, d_a, d_b, times))
-                else:
-                    cols.append(_col(f"{kind.replace('-', '_')}_dA{d_a}_dB{d_b}", "analytic"))
-                    series.append(curve(statistics, d_a, d_b, times))
-        rows = [[t, *(s[i] for s in series)] for i, t in enumerate(times)]
-    return cols, rows, {}
+        for d_a, d_b in _pairs(cfg):
+            values = curve(statistics, d_a, d_b, times)
+            if kind == "rho":
+                table += [(_col(f"rho_p1_dA{d_a}_dB{d_b}", "analytic"), values[0]),
+                          (_col(f"rho_pmix_dA{d_a}_dB{d_b}", "analytic"), values[1])]
+            else:
+                table.append((_col(f"{name}_dA{d_a}_dB{d_b}", "analytic"), values))
+    return table, {}
 
 
 def _couplings(cfg):
@@ -190,19 +186,13 @@ def run_montecarlo(cfg):
         threads=cfg["threads"],
         scramble=cfg["scramble"],
     )
-    cols = [_col("t", "monte-carlo", "time, lambda=1 units")]
-    series = []
+    table = [(_col("t", "monte-carlo", "time, lambda=1 units"), times)]
     for i in range(spec.d_a):
-        cols.append(_col(f"rho{i + 1}{i + 1}_mean", "monte-carlo"))
-        cols.append(_col(f"rho{i + 1}{i + 1}_stderr", "monte-carlo"))
-        series.append(result.rho_mean[:, i, i].real)
-        series.append(result.rho_stderr[:, i, i])
-    cols.append(_col("purity_mean", "monte-carlo"))
-    cols.append(_col("purity_stderr", "monte-carlo"))
-    series.append(result.purity_mean)
-    series.append(result.purity_stderr)
-    rows = [[t, *(s[i] for s in series)] for i, t in enumerate(times)]
-    return cols, rows, {
+        table += [(_col(f"rho{i + 1}{i + 1}_mean", "monte-carlo"), result.rho_mean[:, i, i].real),
+                  (_col(f"rho{i + 1}{i + 1}_stderr", "monte-carlo"), result.rho_stderr[:, i, i])]
+    table += [(_col("purity_mean", "monte-carlo"), result.purity_mean),
+              (_col("purity_stderr", "monte-carlo"), result.purity_stderr)]
+    return table, {
         "n_samples": result.n_samples,
         "energy_scale": result.energy_scale,
         "stages_s": result.stages,
@@ -220,16 +210,12 @@ def run_gaps(cfg):
         ]
     stats = gap_statistics(spectra)
     counts, edges = np.histogram(stats.gaps, bins=cfg["bins"])
-    weights = counts / counts.sum()
-    cols = [
-        _col("bin_left", "monte-carlo", "mean-gap units"),
-        _col("bin_right", "monte-carlo", "mean-gap units"),
-        _col("weight", "monte-carlo"),
+    table = [
+        (_col("bin_left", "monte-carlo", "mean-gap units"), edges[:-1]),
+        (_col("bin_right", "monte-carlo", "mean-gap units"), edges[1:]),
+        (_col("weight", "monte-carlo"), counts / counts.sum()),
     ]
-    rows = [
-        [edges[i], edges[i + 1], weights[i]] for i in range(len(weights))
-    ]
-    return cols, rows, {
+    return table, {
         "mean_ratio": stats.mean_ratio,
         "mean_ratio_stderr": stats.mean_ratio_stderr,
         "n_gaps": int(stats.gaps.size),
@@ -238,7 +224,7 @@ def run_gaps(cfg):
 
 
 def run_distance(cfg):
-    requested = cfg["models"]
+    requested = _distinct("--models", cfg["models"])
     for fam in requested:
         if fam not in models.FAMILIES:
             raise ValueError(f"unknown model family {fam!r}")
@@ -267,23 +253,15 @@ def run_distance(cfg):
         print(f"{fam}: sampled {samples} systems")
     denom_gue = models.distance_d6(traces["GUE"], an_gue)
     denom_poi = models.distance_d6(traces["POISSON"], an_poi)
-    cols = [
-        _col("model", "monte-carlo"),
-        _col("ratio_to_GUE", "monte-carlo"),
-        _col("ratio_to_Poisson", "monte-carlo"),
+    fams = [fam for fam in ordered if fam in requested]
+    table = [
+        (_col("model", "monte-carlo"), fams),
+        (_col("ratio_to_GUE", "monte-carlo"),
+         [models.distance_d6(traces[fam], an_gue) / denom_gue for fam in fams]),
+        (_col("ratio_to_Poisson", "monte-carlo"),
+         [models.distance_d6(traces[fam], an_poi) / denom_poi for fam in fams]),
     ]
-    rows = []
-    for fam in ordered:
-        if fam not in requested:
-            continue
-        rows.append(
-            [
-                fam,
-                models.distance_d6(traces[fam], an_gue) / denom_gue,
-                models.distance_d6(traces[fam], an_poi) / denom_poi,
-            ]
-        )
-    return cols, rows, {
+    return table, {
         "denominator_gue": denom_gue,
         "denominator_poisson": denom_poi,
         "stages_s": stages,
@@ -614,7 +592,7 @@ def main(argv=None) -> int:
             "distance": run_distance,
         }[args.command]
         t0 = time.time()
-        columns, rows, summary = runner(config)
+        table, summary = runner(config)
         manifest = {
             "tool": "guedyn",
             "version": __version__,
@@ -622,18 +600,18 @@ def main(argv=None) -> int:
             "config": config,
             "environment": _environment(config),
             "wall_clock_s": time.time() - t0,
-            "columns": columns,
+            "columns": [col for col, _ in table],
         }
         if summary:
             manifest["summary"] = summary
-        _write_output(config["out"], config["format"], columns, rows, manifest)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+        _write_output(config["out"], config["format"], table, manifest)
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {config['out']} ({len(rows)} rows)")
+    print(f"wrote {config['out']} ({len(table[0][1])} rows)")
     return 0
 
 

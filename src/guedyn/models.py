@@ -484,6 +484,8 @@ def _moment_scale(d, tot, sq) -> float:
     # (Tr H and Tr H^2), so no spectrum is required.
     if d < 2:
         raise ValueError("spectra need at least 2 levels")
+    if not (np.isfinite(tot).all() and np.isfinite(sq).all()):
+        raise NumericalError("non-finite Tr H or Tr H^2 in the energy scale")
     pair_mean = (2 * d * sq - 2 * tot**2).sum() / (tot.size * d * (d - 1))
     if not np.isfinite(pair_mean):
         raise NumericalError(f"non-finite pair second moment {pair_mean} in the energy scale")

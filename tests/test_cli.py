@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 import guedyn
-from guedyn import spectral
+from guedyn import models, spectral
 from guedyn.cli import build_parser, main
+
+
+def _not_computed(*args, **kwargs):
+    raise AssertionError("computed before the arguments were checked")
 
 
 def read_csv(path):
@@ -96,6 +100,23 @@ class TestAnalytic:
     def test_missing_d_is_argument_error(self, tmp_path):
         assert main(["analytic", "chi", "--t-max", "1", "--dt", "0.5",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["chi", "--d", "4", "--d", "6", "--d", "4"], "--d is given 4 twice"),
+        (["xi-poisson", "--d", "5", "--d", "5"], "--d is given 5 twice"),
+        (["rho", "--dA", "2", "--dB", "3", "--dA", "2", "--dB", "3"],
+         "--dA/--dB is given (2, 3) twice"),
+        (["purity", "--dA", "1", "--dB", "4", "--dA", "1", "--dB", "4"],
+         "--dA/--dB is given (1, 4) twice"),
+    ])
+    def test_repeated_dimension_is_argument_error(self, tmp_path, capsys, monkeypatch,
+                                                  argv, message):
+        for name in ("chi_curve", "xi_curve", "rho_curve", "purity_curve"):
+            monkeypatch.setattr(spectral, name, _not_computed)
+        out = str(tmp_path / "x.csv")
+        assert main(["analytic", *argv, "--t-max", "1", "--dt", "0.5", "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_json_format(self, tmp_path):
         out = str(tmp_path / "chi.json")
@@ -208,6 +229,18 @@ class TestDistance:
         assert abs(table["POISSON"][1] - 1.0) < 1e-12
         assert table["XXZ"][0] > 0
 
+    @pytest.mark.parametrize("fam", ["SYK", "GUE"])
+    def test_repeated_model_is_argument_error(self, tmp_path, capsys, monkeypatch, fam):
+        for name in ("analytic_gue_trace", "analytic_poisson_trace", "ensemble_dynamics"):
+            monkeypatch.setattr(models, name, _not_computed)
+        out = str(tmp_path / "x.csv")
+        assert main(["distance", "--models", fam, "XXZ", fam, "--dA", "2", "--dB", "4",
+                     "--samples", "2", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert f"--models is given {fam} twice" in captured.err
+        assert "sampled" not in captured.out
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_model(self, tmp_path):
         assert main(["distance", "--models", "NOPE", "--samples", "2",
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -304,6 +337,55 @@ class TestAtomicOutput:
         with pytest.raises(RuntimeError, match="disk full"):
             main(argv)
         assert sorted(os.listdir(tmp_path)) == ["chi.csv"]
+
+    def test_unusable_out_or_config_path_is_argument_error(self, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        (folder / "keep.txt").write_text("kept")
+        argv = ["analytic", "chi", "--d", "4", "--t-max", "1", "--dt", "0.5"]
+        for extra in (["--out", str(folder)],
+                      ["--config", str(folder), "--out", str(tmp_path / "c.csv")]):
+            assert main(argv + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert os.listdir(tmp_path) == ["folder"]
+            assert os.listdir(folder) == ["keep.txt"]
+            assert (folder / "keep.txt").read_text() == "kept"
+
+
+class TestFormats:
+    """A CSV run and a JSON run of the same arguments hold the same table."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "chi", "--d", "4", "--d", "6", "--t-max", "1", "--dt", "0.25"],
+        ["analytic", "rho", "--dA", "2", "--dB", "3", "--t-max", "1", "--dt", "0.25"],
+        ["analytic", "bessel", "--power", "4", "--t-max", "1", "--dt", "0.25"],
+        ["montecarlo", "--model", "XXZ", "--dA", "2", "--dB", "4", "--samples", "6",
+         "--t-max", "1", "--dt", "0.25"],
+        ["gaps", "--model", "SYK", "--dA", "2", "--dB", "8", "--samples", "6",
+         "--bins", "4"],
+        ["distance", "--models", "SYK", "XXZ", "--dA", "2", "--dB", "4",
+         "--samples", "4", "--dt", "0.5"],
+    ])
+    def test_csv_and_json_hold_the_same_table(self, tmp_path, capsys, argv):
+        wrote = {}
+        for fmt in ("csv", "json"):
+            out = str(tmp_path / f"run.{fmt}")
+            assert main(argv + ["--format", fmt, "--out", out]) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            wrote[fmt] = int(re.fullmatch(r"wrote .+ \((\d+) rows\)", last).group(1))
+        header, rows = read_csv(str(tmp_path / "run.csv"))
+        with open(tmp_path / "run.json") as fh:
+            blob = json.load(fh)
+        with open(tmp_path / "run.json.manifest.json") as fh:
+            assert blob["columns"] == json.load(fh)["columns"]
+        assert [col["name"] for col in blob["columns"]] == header
+        assert list(blob["data"]) == header
+        assert wrote == {"csv": len(rows), "json": len(rows)}
+        for j, name in enumerate(header):
+            cells = [row[j] for row in rows]
+            want = cells if name == "model" else [float(c) for c in cells]
+            assert blob["data"][name] == want, name
 
 
 class TestRunReproducibility:

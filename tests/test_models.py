@@ -187,6 +187,12 @@ class TestRescaleEnergies:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             rescale_energies([[1.0, bad]])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spectrum_raises_before_any_warning(self, bad):
+        with pytest.raises(NumericalError):
+            rescale_energies([[1.0, bad]])
+
 
 class TestDistance:
     times = np.arange(0.0, 6.0001, 0.01)
