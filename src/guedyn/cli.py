@@ -205,8 +205,11 @@ def run_gaps(cfg):
     sampler = models.make_sampler(spec)
     with _one_blas_thread:
         spectra = [
-            np.linalg.eigvalsh(sampler(RngStream(cfg["seed"], i).generator()))
+            levels
             for i in range(cfg["samples"])
+            for levels in models.level_spectra(
+                spec, sampler(RngStream(cfg["seed"], i).generator())
+            )
         ]
     stats = gap_statistics(spectra)
     counts, edges = np.histogram(stats.gaps, bins=cfg["bins"])

@@ -18,7 +18,9 @@ and size has one fixed table of its strings, built once per process; a
 sample only draws the real coefficient vector.  Assembly sums the
 coefficients per (x, z), takes a Walsh-Hadamard transform over z for each
 distinct x and writes each x group with one indexed store, so H is
-exactly Hermitian.
+exactly Hermitian.  A table whose every x mask has even weight conserves the
+parity prod_j Z_j (SYK and CS): its H is block diagonal in the even and odd
+sectors, which the Monte Carlo and the spacing statistics use.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "jordan_wigner_majoranas",
     "build_model",
     "make_sampler",
+    "level_spectra",
     "rescale_energies",
     "DynamicsTrace",
     "distance_d6",
@@ -116,6 +119,12 @@ class _PauliTable:
         for arr in (xs, group, z, phase):
             arr.flags.writeable = False
         return cls(s, xs, group, z, phase)
+
+    @property
+    def conserves_parity(self) -> bool:
+        """Whether every term commutes with the parity prod_j Z_j, that is,
+        every x mask flips an even number of spins."""
+        return all(int(x).bit_count() % 2 == 0 for x in self.xs)
 
     def matrix(self, coeffs) -> np.ndarray:
         """Dense sum_t coeffs[t] * term t."""
@@ -405,8 +414,7 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     if fam == "GUE":
         return sample_gue(spec.d, spec.coupling("lambda", 1.0), gen)
     if fam == "POISSON":
-        energies = gen.exponential(np.sqrt(spec.d + 1), size=spec.d)
-        basis = sample_haar_unitary(spec.d, gen)
+        energies, basis = _poisson_draw(spec.d, gen)
         return (basis * energies) @ basis.conj().T
     if fam == "TFIM":
         rot = sample_so3(gen)
@@ -461,9 +469,118 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     raise AssertionError(fam)
 
 
+def _poisson_draw(d, gen):
+    # i.i.d. exponential levels of mean sqrt(d+1), then a Haar eigenbasis
+    return gen.exponential(np.sqrt(d + 1), size=d), sample_haar_unitary(d, gen)
+
+
 def make_sampler(spec: ModelSpec):
     """Sampler callable for :func:`guedyn.sim.mc_average`."""
     return lambda gen: build_model(spec, gen)
+
+
+def _table(spec: ModelSpec) -> _PauliTable | None:
+    # The Pauli-string table the family's builder contracts; None for the
+    # dense GUE and POISSON ensembles.
+    fam, s = spec.family, spec.n_spins
+    if fam in ("TFIM", "DTFIM", "SG"):
+        return _chain_table(s, 1)
+    if fam in ("XXZ", "DXXZ"):
+        return _chain_table(s, 3)
+    if fam == "CS":
+        return _cs_table(spec.s_a, spec.s_b)
+    if fam == "SYK":
+        return _syk_table(s)
+    return None
+
+
+def _sectors(spec: ModelSpec) -> np.ndarray | None:
+    # The parity sectors of the family's H where its table conserves
+    # prod_j Z_j, else None.
+    table = _table(spec)
+    if table is None or not table.conserves_parity:
+        return None
+    return _parity_sectors(spec.n_spins)
+
+
+@lru_cache(maxsize=None)
+def _parity_sectors(s: int) -> np.ndarray:
+    # (2, 2^(s-1)): the basis states of even, then odd, parity prod_j Z_j
+    # (even, odd number of set bits), each ascending.
+    states = np.arange(1 << s)
+    odd = np.bitwise_count(states) & 1
+    sectors = np.stack([states[odd == 0], states[odd == 1]])
+    sectors.flags.writeable = False
+    return sectors
+
+
+def _sector_blocks(H, sectors) -> np.ndarray:
+    # The (2, d/2, d/2) diagonal blocks of H in the parity sectors.
+    return H[sectors[:, :, None], sectors[:, None, :]]
+
+
+def _spectral_sampler(spec: ModelSpec):
+    # Sampler for mc_average that returns a sample's (energies, basis) where
+    # that costs less than a dense eigh, else the dense H of make_sampler.
+    # POISSON hands over its own draw.  A table that conserves parity has a
+    # zero even-odd block, so each sample is diagonalised as its two
+    # parity blocks (one stacked eigh) and the block eigenvectors are
+    # scattered into the full basis.
+    if spec.family == "POISSON":
+        return lambda gen: _poisson_draw(spec.d, gen)
+    sectors = _sectors(spec)
+    if sectors is None:
+        return make_sampler(spec)
+    half = spec.d // 2
+    cols = np.arange(spec.d).reshape(2, 1, half)
+
+    def sampler(gen):
+        energies, vectors = np.linalg.eigh(_sector_blocks(build_model(spec, gen), sectors))
+        basis = np.zeros((spec.d, spec.d), dtype=complex)
+        basis[sectors[:, :, None], cols] = vectors
+        return energies.reshape(spec.d), basis
+
+    return sampler
+
+
+# Largest spread, relative to the largest |E|, of levels that a symmetry
+# makes equal: eigvalsh leaves them about d eps apart.
+_DEGENERACY_TOL = 1e-10
+
+
+def level_spectra(spec: ModelSpec, H) -> list[np.ndarray]:
+    """The independent level sequences of one Hamiltonian of ``spec``'s
+    ensemble, each ascending, for spacing statistics.
+
+    Levels of different symmetry sectors do not repel, so where the family's
+    table conserves the parity prod_j Z_j (SYK and CS), each parity sector
+    gives its own sequence.  SYK with N = 2s Majorana modes then follows
+    N mod 8: for 0 both sectors count; for 2 and 6 the two sectors carry the
+    same levels, and one is kept; for 4 every level of a sector is a
+    Kramers pair, and one level of each pair is kept.  A degeneracy that
+    does not hold to roundoff raises NumericalError.  Other families give
+    their whole spectrum.
+    """
+    sectors = _sectors(spec)
+    if sectors is None:
+        return [np.linalg.eigvalsh(H)]
+    levels = np.linalg.eigvalsh(_sector_blocks(H, sectors))
+    if spec.family == "SYK":
+        tol = _DEGENERACY_TOL * np.abs(levels).max()
+        n_modes = 2 * spec.n_spins
+        if n_modes % 8 in (2, 6):
+            _check_degenerate(levels[0], levels[1], tol, "the two parity sectors")
+            levels = levels[:1]
+        elif n_modes % 8 == 4:
+            _check_degenerate(levels[:, 0::2], levels[:, 1::2], tol, "Kramers pairs")
+            levels = levels[:, 0::2]
+    return list(levels)
+
+
+def _check_degenerate(a, b, tol, what) -> None:
+    spread = np.abs(a - b).max()
+    if not spread <= tol:
+        raise NumericalError(f"levels of {what} differ by {spread:.3g}, above roundoff {tol:.3g}")
 
 
 def rescale_energies(spectra) -> float:
@@ -476,7 +593,9 @@ def rescale_energies(spectra) -> float:
     spectra = np.asarray(spectra, dtype=float)
     if spectra.ndim == 1:
         spectra = spectra[None, :]
-    return _moment_scale(spectra.shape[1], spectra.sum(axis=1), (spectra**2).sum(axis=1))
+    # a sum or square that overflows is inf, which _moment_scale rejects
+    with np.errstate(over="ignore"):
+        return _moment_scale(spectra.shape[1], spectra.sum(axis=1), (spectra**2).sum(axis=1))
 
 
 def _moment_scale(d, tot, sq) -> float:
@@ -486,7 +605,9 @@ def _moment_scale(d, tot, sq) -> float:
         raise ValueError("spectra need at least 2 levels")
     if not (np.isfinite(tot).all() and np.isfinite(sq).all()):
         raise NumericalError("non-finite Tr H or Tr H^2 in the energy scale")
-    pair_mean = (2 * d * sq - 2 * tot**2).sum() / (tot.size * d * (d - 1))
+    # finite moments can still overflow here (inf, or inf - inf = nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair_mean = (2 * d * sq - 2 * tot**2).sum() / (tot.size * d * (d - 1))
     if not np.isfinite(pair_mean):
         raise NumericalError(f"non-finite pair second moment {pair_mean} in the energy scale")
     if pair_mean <= 0:
@@ -553,7 +674,10 @@ def ensemble_dynamics(
     of each sample and diagonalises nothing.  The Gaussian and Poisson
     baselines are calibrated analytically and skip the pilot pass.  The
     pilot and the Monte Carlo run under one OpenBLAS thread, as
-    :func:`guedyn.sim.mc_average` documents.
+    :func:`guedyn.sim.mc_average` documents.  The Monte Carlo hands a POISSON
+    sample over as its drawn levels and Haar basis, and diagonalises an SYK
+    or CS sample per parity sector; the other families' samples are
+    diagonalised whole.
     """
     _check_counts(n_samples, threads)
     times = np.asarray(times, dtype=float)
@@ -569,7 +693,7 @@ def ensemble_dynamics(
                 sq[i] = np.vdot(h, h).real
         scale = _moment_scale(spec.d, tot, sq)
     return mc_average(
-        sampler,
+        _spectral_sampler(spec),
         spec.d_a,
         spec.d_b,
         times,

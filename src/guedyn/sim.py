@@ -12,6 +12,12 @@ bundled OpenBLAS at one thread (restored afterwards), because the LAPACK
 rounding depends on its thread count; the output then depends on the
 inputs alone, not on ``OPENBLAS_NUM_THREADS``.  Where that library is not
 found the thread count is left as it is.
+
+A sample is a dense Hamiltonian H or its eigendecomposition (energies,
+basis).  Time evolution is one spectral step, psi(t) = V e^{-iEt} V^dag
+psi0, from the eigendecomposition: :func:`evolve` takes it from ``eigh``
+of H, and the block kernel from one batched ``eigh`` of the block's dense
+samples or from the sampler itself.
 """
 
 from __future__ import annotations
@@ -155,8 +161,13 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     if psi0.ndim < 1 or H.shape != psi0.shape + psi0.shape[-1:]:
         raise ValueError("dimension mismatch between H and psi0")
     energies, basis = np.linalg.eigh(H)
-    scalar = np.ndim(times) == 0
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    out = _spectral_step(energies, basis, psi0, np.atleast_1d(np.asarray(times, dtype=float)))
+    return out[..., 0, :] if np.ndim(times) == 0 else out
+
+
+def _spectral_step(energies, basis, psi0, ts):
+    # V e^{-i E t} V^dag psi0 for every t of the 1d grid ``ts``, from the
+    # eigendecomposition (E, V): (..., d), (..., d, d) -> (..., T, d).
     coeff = psi0[..., None, :] @ basis.conj()  # (..., 1, d): V^dag psi0
     # e^{-iEt} = cos(-Et) + i sin(-Et), written in place and then scaled by
     # the coefficients; glibc's complex exp returns these same values, at
@@ -166,8 +177,7 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     phases *= coeff
-    out = phases @ basis.swapaxes(-1, -2)
-    return out[..., 0, :] if scalar else out
+    return phases @ basis.swapaxes(-1, -2)
 
 
 # Largest state length whose partial trace is taken entry by entry over the
@@ -251,7 +261,10 @@ class MCResult:
     ``stages`` holds the CPU seconds spent drawing samples (``draw``), in
     evolution, partial trace and purity (``evolve``) and in the reduction
     (``reduce``), each summed over the threads that did the work; time a
-    worker spends waiting for the interpreter lock is not counted.
+    worker spends waiting for the interpreter lock is not counted.  The
+    ``eigh`` of a dense sample counts under ``evolve``; a diagonalisation
+    done by the sampler itself, to return (energies, basis), counts under
+    ``draw``.
     """
 
     times: np.ndarray
@@ -328,48 +341,81 @@ _one_blas_thread = _OneBlasThread()
 _BLOCK_ENTRIES = 2**14
 
 
+def _left(ud, m):
+    # (ud x I) m: one left product with the (d_A, d_B d) view of the
+    # (d, d) matrix m, whose rows are A-major.
+    return (ud @ m.reshape(ud.shape[1], -1)).reshape(m.shape)
+
+
 def _in_frame(H, u_a):
-    # (U^dag x I) H (U x I) by two left products with U^dag on the
-    # (d_A, d_B d) view: K = (U^dag x I) H, then (U^dag x I) K^dag, which is
-    # the rotated H because H is Hermitian.
-    d_A, d = u_a.shape[0], H.shape[0]
+    # (U^dag x I) H (U x I) by two left products with U^dag: K = (U^dag x I)
+    # H, then (U^dag x I) K^dag, which is the rotated H because H is
+    # Hermitian.
     ud = u_a.conj().T
-    k = (ud @ H.reshape(d_A, -1)).reshape(d, d)
-    return (ud @ np.conjugate(k.T, order="C").reshape(d_A, -1)).reshape(d, d)
+    return _left(ud, np.conjugate(_left(ud, H).T, order="C"))
 
 
 def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scale):
     # One block of consecutive samples.  Each sample draws from its own
-    # stream, in the order H, scramble unitary, psi_A, psi_B.  With a random
-    # product state, H is rotated into the frame of the completion unitary
-    # U_A of psi_A and evolved from e1 x psi_B, which gives U_A^dag rho_A U_A
-    # directly.  Then one evolve for the block.  Returns the (B, n) real
-    # samples (rho_A as real and imaginary parts, then the purities) and the
-    # draw and evolve seconds.
+    # stream, in the order H, scramble unitary, psi_A, psi_B.  A sample is
+    # a dense H or its eigendecomposition (energies, basis V).  The scramble
+    # u turns H into u H u^dag, or V into u V.  With a random product state,
+    # the sample is rotated into the frame of the completion unitary U_A of
+    # psi_A (H into (U_A^dag x I) H (U_A x I), V into (U_A^dag x I) V) and
+    # evolved from e1 x psi_B, which gives U_A^dag rho_A U_A directly.  The
+    # dense samples of the block are diagonalised by one eigh, then one
+    # spectral step evolves the block.  Returns the (B, n) real samples
+    # (rho_A as real and imaginary parts, then the purities) and the draw
+    # and evolve seconds.
     start = time.thread_time()
     d = d_A * d_B
-    hs = np.empty((len(streams), d, d), dtype=complex)
-    psi0 = np.zeros((len(streams), d), dtype=complex)
+    n = len(streams)
+    mats = np.empty((n, d, d), dtype=complex)  # H, or V of a pair
+    energies = np.empty((n, d))
+    paired = np.zeros(n, dtype=bool)
+    psi0 = np.zeros((n, d), dtype=complex)
     gen = streams[0].generator()
     for k, stream in enumerate(streams):
         _restart(gen.bit_generator, stream)
-        H = np.asarray(sampler(gen))
-        if H.shape != (d, d):
-            raise ValueError(f"sampler returned shape {H.shape}, expected ({d}, {d})")
+        M = sampler(gen)
+        if isinstance(M, tuple):
+            energies[k], M = _check_pair(M, d)
+            paired[k] = True
+        else:
+            M = np.asarray(M)
+            if M.shape != (d, d):
+                raise ValueError(f"sampler returned shape {M.shape}, expected ({d}, {d})")
         if scramble:
             u = sample_haar_unitary(d, gen)
-            H = u @ H @ u.conj().T
+            M = u @ M if paired[k] else u @ M @ u.conj().T
         if initial_state == "haar":
             psi_a = haar_state(d_A, gen)
             psi0[k, :d_B] = haar_state(d_B, gen)
-            H = _in_frame(H, completion_unitary(psi_a))
+            u_a = completion_unitary(psi_a)
+            M = _left(u_a.conj().T, M) if paired[k] else _in_frame(M, u_a)
         else:
             psi0[k, 0] = 1.0
-        hs[k] = H
+        mats[k] = M
     drawn = time.thread_time()
-    rho = partial_trace(evolve(hs, psi0, scale * times.ravel()), d_A, d_B)
-    x = np.concatenate((rho.reshape(len(streams), -1).view(float), purity(rho)), axis=1)
+    if not paired.any():
+        energies, mats = np.linalg.eigh(mats)
+    elif not paired.all():
+        energies[~paired], mats[~paired] = np.linalg.eigh(mats[~paired])
+    rho = partial_trace(_spectral_step(energies, mats, psi0, scale * times.ravel()), d_A, d_B)
+    x = np.concatenate((rho.reshape(n, -1).view(float), purity(rho)), axis=1)
     return x, drawn - start, time.thread_time() - drawn
+
+
+def _check_pair(pair, d):
+    if len(pair) != 2:
+        raise ValueError(f"sampler returned a tuple of {len(pair)}, expected (energies, basis)")
+    energies, basis = np.asarray(pair[0]), np.asarray(pair[1])
+    if energies.shape != (d,) or basis.shape != (d, d):
+        raise ValueError(
+            f"sampler returned energies {energies.shape} and basis {basis.shape},"
+            f" expected ({d},) and ({d}, {d})"
+        )
+    return energies, basis
 
 
 def _check_counts(n_samples, threads) -> None:
@@ -394,9 +440,13 @@ def mc_average(
 ) -> MCResult:
     """Ensemble average of rho_A(t) and purity over sampled Hamiltonians.
 
-    ``sampler(gen)`` must return a (d, d) Hermitian array drawn with the
-    numpy Generator ``gen``; sample i uses the stream
-    ``(rng.master_seed, stream_offset + i)``.  With the default random
+    ``sampler(gen)`` draws one sample with the numpy Generator ``gen`` and
+    returns either a (d, d) Hermitian array H or a tuple ``(energies,
+    basis)``: d real energies and a (d, d) unitary whose columns are the
+    matching eigenvectors, H = basis diag(energies) basis^dag.  A dense H is
+    diagonalised here; a pair is used as it is, which saves that ``eigh``
+    where the sampler knows the eigendecomposition.  Sample i uses the
+    stream ``(rng.master_seed, stream_offset + i)``.  With the default random
     product initial state, rho_A is reported in the rotated basis whose
     first vector is the sampled |1_A>, matching the analytic coefficient
     decomposition; ``initial_state="e1"`` keeps the computational basis.

@@ -216,6 +216,26 @@ class TestGaps:
         weights = column(out, "weight")
         assert abs(sum(weights) - 1.0) < 1e-12
 
+    def test_syk_sectors_counted_apart(self, tmp_path):
+        # N = 10 Majoranas: the two parity sectors carry the same levels, so
+        # one sector per sample enters, with GUE level repulsion
+        out = str(tmp_path / "syk.csv")
+        assert main(["gaps", "--model", "SYK", "--dA", "4", "--dB", "8", "--samples", "40",
+                     "--seed", "3", "--out", out]) == 0
+        with open(out + ".manifest.json") as fh:
+            summary = json.load(fh)["summary"]
+        assert summary["n_gaps"] == 40 * 15
+        assert 0.5 < summary["mean_ratio"] < 0.7
+
+    def test_broken_degeneracy_exits_3(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "syk.csv")
+        monkeypatch.setattr(models, "build_model", lambda spec, rng: np.diag(
+            np.arange(spec.d, dtype=float)))
+        assert main(["gaps", "--model", "SYK", "--dA", "4", "--dB", "8", "--samples", "2",
+                     "--out", out]) == 3
+        assert "parity sectors" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestDistance:
     def test_ratios_normalized(self, tmp_path):

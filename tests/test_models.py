@@ -454,3 +454,167 @@ class TestPilotPass:
         with pytest.raises(ValueError, match=message):
             ensemble_dynamics(ModelSpec("XXZ", 2, 4), self.times, n_samples,
                               RngStream(62), threads=threads)
+
+
+class TestParitySectors:
+    """SYK and CS commute with prod_j Z_j and are diagonalised per sector."""
+
+    times = np.linspace(0.0, 6.0, 31)
+
+    @staticmethod
+    def sectors(spec):
+        from guedyn import models
+
+        return models._parity_sectors(spec.n_spins)
+
+    @pytest.mark.parametrize("family, d_a, d_b", [("SYK", 2, 2), ("SYK", 2, 4), ("SYK", 4, 8),
+                                                  ("SYK", 8, 8), ("CS", 2, 1), ("CS", 2, 4),
+                                                  ("CS", 4, 8), ("CS", 8, 4)])
+    def test_off_sector_block_is_zero(self, family, d_a, d_b):
+        spec = ModelSpec(family, d_a, d_b)
+        even, odd = self.sectors(spec)
+        for i in range(3):
+            h = build_model(spec, RngStream(90, i))
+            assert not h[np.ix_(even, odd)].any()
+            assert not h[np.ix_(odd, even)].any()
+
+    def test_parity_property_of_the_tables(self):
+        from guedyn import models
+
+        for family, d_a, d_b, want in [("SYK", 2, 4, True), ("SYK", 8, 8, True),
+                                       ("CS", 2, 4, True), ("CS", 4, 8, True),
+                                       ("XXZ", 2, 4, False), ("TFIM", 2, 4, False),
+                                       ("SG", 2, 4, False), ("DXXZ", 4, 8, False)]:
+            assert models._table(ModelSpec(family, d_a, d_b)).conserves_parity is want
+        assert models._table(ModelSpec("GUE", 2, 2)) is None
+
+    @pytest.mark.parametrize("family, d_a, d_b", [("SYK", 2, 4), ("SYK", 4, 8), ("CS", 2, 1),
+                                                  ("CS", 4, 8)])
+    def test_sector_sample_rebuilds_h(self, family, d_a, d_b):
+        from guedyn import models
+
+        spec = ModelSpec(family, d_a, d_b)
+        sampler = models._spectral_sampler(spec)
+        for i in range(3):
+            energies, basis = sampler(RngStream(91, i).generator())
+            h = build_model(spec, RngStream(91, i))
+            rebuilt = (basis * energies) @ basis.conj().T
+            assert np.linalg.norm(rebuilt - h) <= 1e-12 * np.linalg.norm(h)
+            assert np.linalg.norm(basis.conj().T @ basis - np.eye(spec.d)) <= 1e-12
+
+    def test_poisson_sample_is_its_draw(self):
+        from guedyn import models
+
+        spec = ModelSpec("POISSON", 2, 4)
+        energies, basis = models._spectral_sampler(spec)(RngStream(92, 0).generator())
+        assert np.array_equal((basis * energies) @ basis.conj().T,
+                              build_model(spec, RngStream(92, 0)))
+
+    @pytest.mark.parametrize("family, d_a, d_b", [("POISSON", 2, 4), ("SYK", 2, 4),
+                                                  ("SYK", 4, 8), ("CS", 2, 4)])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_matches_the_dense_sampler(self, family, d_a, d_b, scramble):
+        spec = ModelSpec(family, d_a, d_b)
+        got = ensemble_dynamics(spec, self.times, 8, RngStream(93), scramble=scramble)
+        want = mc_average(make_sampler(spec), d_a, d_b, self.times, 8, RngStream(93),
+                          scramble=scramble, energy_scale=got.energy_scale)
+        assert np.max(np.abs(got.rho_mean - want.rho_mean)) <= 1e-13
+        assert np.max(np.abs(got.purity_mean - want.purity_mean)) <= 1e-13
+
+    def test_dense_families_keep_their_bytes(self):
+        # Written by the dense-H kernel (every sample diagonalised by eigh)
+        # before samples could carry their eigendecomposition.  The bytes
+        # depend on the LAPACK build, so they are compared exactly only under
+        # the numpy and OpenBLAS build that wrote them, else to 1e-13.
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), "data", "mc_dense_reference.npz")
+        ref = np.load(path)
+        exact = str(ref["numpy"]) == np.__version__ and str(ref["blas"]) == _blas_config()
+        for family, d_a, d_b in (("GUE", 2, 2), ("XXZ", 2, 4)):
+            for scramble in (False, True):
+                got = ensemble_dynamics(ModelSpec(family, d_a, d_b), self.times, 20,
+                                        RngStream(71), threads=2, scramble=scramble)
+                for name in ("rho_mean", "rho_stderr", "purity_mean", "purity_stderr"):
+                    want = ref[f"{family}_{int(scramble)}_{name}"]
+                    if exact:
+                        assert np.array_equal(getattr(got, name), want), (family, name)
+                    else:
+                        assert np.max(np.abs(getattr(got, name) - want)) <= 1e-13
+
+
+def _blas_config() -> str:
+    # the configuration string of numpy's bundled OpenBLAS (version and CPU
+    # kernel), or "" where it is not loaded
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            get = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_char_p
+        return get().decode()
+    return ""
+
+
+class TestLevelSpectra:
+    """Spacing statistics per symmetry sector (Atas et al., PRL 110, 084101)."""
+
+    @staticmethod
+    def mean_ratio(family, d_a, d_b, n, seed):
+        from guedyn import models
+
+        spec = ModelSpec(family, d_a, d_b)
+        spectra = [levels for i in range(n)
+                   for levels in models.level_spectra(spec, build_model(spec, RngStream(seed, i)))]
+        return gap_statistics(spectra)
+
+    @pytest.mark.parametrize("family, d_a, d_b, n_spectra, size", [
+        ("SYK", 2, 8, 2, 8),   # N = 8: both sectors
+        ("SYK", 4, 8, 1, 16),  # N = 10: one of two equal sectors
+        ("SYK", 8, 8, 2, 16),  # N = 12: one level per Kramers pair
+        ("CS", 4, 8, 2, 16),
+        ("XXZ", 2, 4, 1, 8),
+        ("GUE", 2, 3, 1, 6),
+    ])
+    def test_sequences(self, family, d_a, d_b, n_spectra, size):
+        from guedyn import models
+
+        spec = ModelSpec(family, d_a, d_b)
+        h = build_model(spec, RngStream(94, 0))
+        spectra = models.level_spectra(spec, h)
+        assert len(spectra) == n_spectra
+        assert all(s.shape == (size,) and np.all(np.diff(s) >= 0) for s in spectra)
+
+    @pytest.mark.parametrize("family, d_a, d_b, want", [("SYK", 4, 8, 0.5996),
+                                                        ("SYK", 8, 8, 0.6744)])
+    def test_sector_mean_ratio(self, family, d_a, d_b, want):
+        stats = self.mean_ratio(family, d_a, d_b, 300, 95)
+        assert abs(stats.mean_ratio - want) <= 5 * stats.mean_ratio_stderr
+
+    @pytest.mark.parametrize("d_a, d_b", [(4, 8), (8, 8)])
+    def test_broken_degeneracy_raises(self, d_a, d_b):
+        # a block-diagonal H whose parity blocks are unrelated GUE draws has
+        # neither equal sectors (N = 10) nor Kramers pairs (N = 12)
+        from guedyn import models
+        from guedyn.sim import sample_gue
+
+        spec = ModelSpec("SYK", d_a, d_b)
+        even, odd = models._parity_sectors(spec.n_spins)
+        blocks = sample_gue(spec.d // 2, 1.0, RngStream(96, 0), size=2)
+        h = np.zeros((spec.d, spec.d), dtype=complex)
+        h[np.ix_(even, even)], h[np.ix_(odd, odd)] = blocks
+        with pytest.raises(NumericalError):
+            models.level_spectra(spec, h)
+
+
+class TestRescaleOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spectra", [[[1e200, 2e200]], [[1e154, 0.0]], [[1e154, -1e154]]])
+    def test_overflow_raises_without_warning(self, spectra):
+        with pytest.raises(NumericalError):
+            rescale_energies(spectra)

@@ -622,3 +622,75 @@ class TestStreamRestart:
             assert np.array_equal(gen.integers(0, 2**40, size=3),
                                   fresh.integers(0, 2**40, size=3))
             assert np.array_equal(gen.exponential(size=4), fresh.exponential(size=4))
+
+
+class TestSpectralSamples:
+    """A sampler may hand the kernel its sample's (energies, basis)."""
+
+    times = np.linspace(0.0, 6.0, 31)
+
+    @staticmethod
+    def fixed_pair(gen):
+        # a Haar basis around a drawn spectrum, as the pair and as dense H
+        energies = gen.normal(size=8)
+        basis = sample_haar_unitary(8, gen)
+        return energies, basis
+
+    @pytest.mark.parametrize("initial_state", ["haar", "e1"])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_pair_matches_dense_h(self, initial_state, scramble):
+        def dense(gen):
+            energies, basis = self.fixed_pair(gen)
+            return (basis * energies) @ basis.conj().T
+
+        kw = dict(initial_state=initial_state, scramble=scramble, energy_scale=1.3)
+        a = mc_average(self.fixed_pair, 2, 4, self.times, 9, RngStream(80), **kw)
+        b = mc_average(dense, 2, 4, self.times, 9, RngStream(80), **kw)
+        assert np.max(np.abs(a.rho_mean - b.rho_mean)) <= 1e-13
+        assert np.max(np.abs(a.purity_mean - b.purity_mean)) <= 1e-13
+
+    def test_pairs_and_dense_in_one_block(self, monkeypatch):
+        # every other sample dense: each keeps its own arithmetic
+        from guedyn import sim
+
+        def mixed(gen):
+            energies, basis = self.fixed_pair(gen)
+            if energies[0] > 0:
+                return (basis * energies) @ basis.conj().T
+            return energies, basis
+
+        one = mc_average(mixed, 2, 4, self.times, 12, RngStream(81))
+        monkeypatch.setattr(sim, "_BLOCK_ENTRIES", 5 * 8 * self.times.size)
+        five = mc_average(mixed, 2, 4, self.times, 12, RngStream(81), threads=2)
+        for a, b in zip(_fields(one), _fields(five)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [
+        lambda gen: (np.zeros(8),),
+        lambda gen: (np.zeros(7), np.eye(8)),
+        lambda gen: (np.zeros(8), np.eye(4)),
+    ])
+    def test_bad_pair_rejected(self, bad):
+        with pytest.raises(ValueError, match="sampler returned"):
+            mc_average(bad, 2, 4, self.times, 2, RngStream(82))
+
+    @pytest.mark.parametrize("family, d_A, d_B, scramble", [("CS", 2, 4, False),
+                                                            ("CS", 2, 4, True),
+                                                            ("POISSON", 2, 4, True)])
+    def test_bit_identical_across_blocks_and_threads(self, monkeypatch, family, d_A, d_B,
+                                                     scramble):
+        from guedyn import models, sim
+
+        spec = models.ModelSpec(family, d_A, d_B)
+        results = []
+        for block in (1, 4, None):
+            if block is not None:
+                monkeypatch.setattr(sim, "_BLOCK_ENTRIES", block * spec.d * self.times.size)
+            else:
+                monkeypatch.undo()
+            for threads in (1, 2, 3):
+                results.append(models.ensemble_dynamics(
+                    spec, self.times, 11, RngStream(83), threads=threads, scramble=scramble))
+        for other in results[1:]:
+            for a, b in zip(_fields(results[0]), _fields(other)):
+                assert np.array_equal(a, b)
