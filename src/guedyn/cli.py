@@ -41,6 +41,10 @@ ANALYTIC_KINDS = (
     "bessel",
 )
 
+# The analytic kinds that take --d; the other curves take --dA/--dB pairs, and
+# bessel takes neither.
+_ANALYTIC_D_KINDS = ("chi", "xi", "chi-poisson", "xi-poisson")
+
 
 @contextmanager
 def _atomic(path):
@@ -133,6 +137,10 @@ def _pairs(cfg):
 
 def run_analytic(cfg):
     kind = cfg["kind"]
+    reads = () if kind == "bessel" else ("d",) if kind in _ANALYTIC_D_KINDS else ("dA", "dB")
+    unread = [f"--{flag}" for flag in ("d", "dA", "dB") if flag not in reads and cfg[flag]]
+    if unread:
+        raise ValueError(f"analytic {kind} does not read {', '.join(unread)}")
     times = _time_grid(cfg["t-max"], cfg["dt"])
     if kind == "bessel":
         power = cfg["power"]
@@ -151,7 +159,7 @@ def run_analytic(cfg):
         "purity": spectral.purity_curve,
     }[kind.removesuffix("-poisson")]
     name = kind.replace("-", "_")
-    if kind in ("chi", "xi", "chi-poisson", "xi-poisson"):
+    if kind in _ANALYTIC_D_KINDS:
         if not cfg["d"]:
             raise ValueError(f"analytic {kind} requires --d")
         for d in _distinct("--d", cfg["d"]):
@@ -253,7 +261,7 @@ def run_distance(cfg):
         traces[fam] = models.DynamicsTrace.from_mc(result)
         for stage, seconds in result.stages.items():
             stages[stage] = stages.get(stage, 0.0) + seconds
-        print(f"{fam}: sampled {samples} systems")
+        print(f"{fam}: sampled {samples} systems", file=sys.stderr)
     denom_gue = models.distance_d6(traces["GUE"], an_gue)
     denom_poi = models.distance_d6(traces["POISSON"], an_poi)
     fams = [fam for fam in ordered if fam in requested]

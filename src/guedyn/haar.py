@@ -88,7 +88,7 @@ class MonomialSpec:
 
 @dataclass(frozen=True)
 class RValue:
-    """Contracted outer-index factor: d_A^dA_power * d_B^dB_power.
+    """Contracted outer-index factor d_A^dA_power * d_B^dB_power, as a key.
 
     ``channel`` distinguishes the operator content for the n = 1 matrix
     average: "scalar" for trace moments, "proj" for |1_A><1_A| and "mix"
@@ -99,13 +99,10 @@ class RValue:
     dB_power: int
     channel: str = "scalar"
 
-    def numeric(self, d_A: int, d_B: int) -> int:
-        return d_A**self.dA_power * d_B**self.dB_power
-
 
 @dataclass(frozen=True)
 class QValue:
-    """Contracted internal factor: product over iota(m * t), m per cycle.
+    """Contracted internal factor, product over iota(m * t), as a key.
 
     ``iota_multiples`` is the sorted multiset of cycle phase sums; an
     ``m = 0`` entry contributes a factor d (= iota(0)).
@@ -115,12 +112,6 @@ class QValue:
 
     def __post_init__(self):
         object.__setattr__(self, "iota_multiples", tuple(sorted(self.iota_multiples)))
-
-    def value(self, iota_table: dict[int, complex]) -> complex:
-        out = complex(1.0)
-        for m in self.iota_multiples:
-            out *= iota_table[m]
-        return out
 
 
 def build_trace_moment_spec(n: int) -> MonomialSpec:
@@ -186,7 +177,8 @@ def compute_Q(spec: MonomialSpec, tau: Permutation) -> QValue:
 
 @dataclass
 class SymbolicAverage:
-    """Haar average of a trace moment as exact (R, Q) -> coefficient terms."""
+    """Haar average of a trace moment as exact (R, Q) -> coefficient terms;
+    at a fixed spectrum a term is coeff * d_A^a * d_B^b * prod_m iota(m t)."""
 
     n: int
     d_A: int
@@ -197,40 +189,35 @@ class SymbolicAverage:
     def d(self) -> int:
         return self.d_A * self.d_B
 
-    def _iota_table(self, spectrum, t: float) -> dict[int, complex]:
+    def _channel_sums(self, spectrum, t: float) -> dict[str, complex]:
+        """Per-channel sum of the terms; iota(m t) once per distinct m, iota(0) = d."""
         spectrum = np.asarray(spectrum, dtype=float)
         if spectrum.shape != (self.d,):
             raise ValueError(f"spectrum must have length d = {self.d}")
-        needed = {m for _, qv in self.terms for m in qv.iota_multiples}
-        table = {}
-        for m in needed:
-            table[m] = complex(self.d) if m == 0 else complex(
-                np.exp(1j * m * t * spectrum).sum()
-            )
-        return table
+        d_A, d_B = self.d_A, self.d_B
+        phases = {0: complex(self.d)}
+        sums: dict[str, complex] = {}
+        for (rv, qv), coeff in self.terms.items():
+            weight = float(coeff) * (d_A**rv.dA_power * d_B**rv.dB_power)
+            product = complex(1.0)
+            for m in qv.iota_multiples:
+                if m not in phases:
+                    phases[m] = iota(spectrum, m * t)
+                product *= phases[m]
+            sums[rv.channel] = sums.get(rv.channel, 0j) + weight * product
+        return sums
 
     def evaluate(self, spectrum, t: float) -> float:
-        """Numeric value at a fixed spectrum and time.
-
-        For n = 1 this is the trace of the averaged density matrix, i.e.
-        exactly 1; the matrix content is in :meth:`rho_coefficients`.
-        """
-        table = self._iota_table(spectrum, t)
-        total = complex(0.0)
-        for (rv, qv), coeff in self.terms.items():
-            total += float(coeff) * rv.numeric(self.d_A, self.d_B) * qv.value(table)
-        return _real_or_raise(total)
+        """Numeric value at a fixed spectrum and time.  For n = 1 this is the
+        trace of the averaged density matrix, i.e. exactly 1; the matrix
+        content is in :meth:`rho_coefficients`."""
+        return _real_or_raise(sum(self._channel_sums(spectrum, t).values()))
 
     def rho_coefficients(self, spectrum, t: float) -> tuple[float, float]:
         """(p1, pmix) for n = 1: <rho_A> = p1 |1_A><1_A| + pmix 1_A/d_A."""
         if self.n != 1:
             raise ValueError("rho_coefficients is defined for n = 1 only")
-        table = self._iota_table(spectrum, t)
-        sums = {"proj": complex(0.0), "mix": complex(0.0)}
-        for (rv, qv), coeff in self.terms.items():
-            sums[rv.channel] += (
-                float(coeff) * rv.numeric(self.d_A, self.d_B) * qv.value(table)
-            )
+        sums = self._channel_sums(spectrum, t)
         return _real_or_raise(sums["proj"]), _real_or_raise(sums["mix"])
 
 

@@ -529,7 +529,8 @@ class GapStats:
     """Pooled nearest-neighbour spacing statistics of a set of spectra."""
 
     gaps: np.ndarray  # mean-gap-normalized spacings, sorted ascending
-    ratios: np.ndarray  # r_j = min(s_j, s_{j+1}) / max(s_j, s_{j+1})
+    ratios: np.ndarray  # r_j = min(s_j, s_{j+1}) / max(s_j, s_{j+1}), by sequence
+    ratio_counts: np.ndarray  # number of ratios of each sequence, in order
     n_skipped: int = 0
 
     @property
@@ -538,8 +539,26 @@ class GapStats:
 
     @property
     def mean_ratio_stderr(self) -> float:
-        n = self.ratios.size
-        return float(self.ratios.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        """Standard error of :attr:`mean_ratio` from the spread of the
+        per-sequence mean ratios, each weighted by its ratio count.
+
+        Neighbouring ratios of one sequence share a spacing, so they are not
+        independent; the sequences are.  With K sequences of means m_k and
+        weights w_k = n_k / n this is sqrt(K / (K - 1) sum_k w_k^2
+        (m_k - mean_ratio)^2).  A single sequence has no spread to read, and
+        falls back to std(ratios) / sqrt(n), which treats its ratios as
+        independent and so reads low.
+        """
+        counts = self.ratio_counts
+        if counts.size == 1:
+            n = self.ratios.size
+            return float(self.ratios.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        k = counts.size
+        starts = np.cumsum(counts) - counts
+        means = np.add.reduceat(self.ratios, starts) / counts
+        weights = counts / counts.sum()
+        dev = weights * (means - self.mean_ratio)
+        return float(np.sqrt(k / (k - 1) * np.dot(dev, dev)))
 
 
 def gap_statistics(spectra) -> GapStats:
@@ -570,5 +589,6 @@ def gap_statistics(spectra) -> GapStats:
     return GapStats(
         np.sort(np.concatenate(pooled_gaps)),
         np.concatenate(pooled_ratios),
+        np.array([r.size for r in pooled_ratios]),
         skipped,
     )

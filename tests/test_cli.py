@@ -118,6 +118,33 @@ class TestAnalytic:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (["chi", "--d", "4", "--dA", "2", "--dB", "3"], "analytic chi does not read --dA, --dB"),
+        (["xi-poisson", "--d", "6", "--dB", "3"], "analytic xi-poisson does not read --dB"),
+        (["purity", "--d", "9", "--dA", "2", "--dB", "3"], "analytic purity does not read --d"),
+        (["rho", "--d", "4", "--dA", "2", "--dB", "2"], "analytic rho does not read --d"),
+        (["purity-poisson", "--d", "6", "--dA", "2", "--dB", "3"],
+         "analytic purity-poisson does not read --d"),
+        (["bessel", "--d", "9"], "analytic bessel does not read --d"),
+        (["bessel", "--dA", "2", "--dB", "3"], "analytic bessel does not read --dA, --dB"),
+    ])
+    def test_unread_dimension_is_argument_error(self, tmp_path, capsys, monkeypatch,
+                                                argv, message):
+        for name in ("chi_curve", "xi_curve", "rho_curve", "purity_curve", "bessel_limit"):
+            monkeypatch.setattr(spectral, name, _not_computed)
+        out = str(tmp_path / "x.csv")
+        assert main(["analytic", *argv, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_unread_dimension_from_config_is_argument_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [4], "dA": [2], "dB": [3]}))
+        out = str(tmp_path / "x.csv")
+        assert main(["analytic", "purity", "--config", str(cfg), "--out", out]) == 2
+        assert "analytic purity does not read --d" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_json_format(self, tmp_path):
         out = str(tmp_path / "chi.json")
         assert main(["analytic", "chi", "--d", "4", "--t-max", "1", "--dt", "0.5",
@@ -260,6 +287,15 @@ class TestDistance:
         assert f"--models is given {fam} twice" in captured.err
         assert "sampled" not in captured.out
         assert os.listdir(tmp_path) == []
+
+    def test_stdout_is_one_line(self, tmp_path, capsys):
+        out = str(tmp_path / "dist.csv")
+        assert main(["distance", "--models", "XXZ", "--dA", "2", "--dB", "4",
+                     "--samples", "4", "--dt", "0.5", "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out} (1 rows)\n"
+        assert captured.err.splitlines() == [f"{fam}: sampled 4 systems"
+                                             for fam in ("GUE", "POISSON", "XXZ")]
 
     def test_unknown_model(self, tmp_path):
         assert main(["distance", "--models", "NOPE", "--samples", "2",

@@ -394,6 +394,22 @@ class TestGapStatistics:
         with pytest.raises(ValueError):
             gap_statistics([np.ones(4)])
 
+    def test_stderr_from_sequence_means(self):
+        # every ratio of one sequence is 0.5, of the other 0.7: the ratios of
+        # a sequence are not independent draws, so the spread is that of the
+        # two sequence means, 0.1, not a pooled std over sqrt(16)
+        spectra = [np.concatenate(([0.0], np.cumsum(r ** np.arange(9)))) for r in (0.5, 0.7)]
+        stats = gap_statistics(spectra)
+        assert np.allclose(stats.ratios, [0.5] * 8 + [0.7] * 8, rtol=1e-12)
+        assert abs(stats.mean_ratio_stderr - 0.1) <= 1e-12
+        assert stats.ratio_counts.tolist() == [8, 8]
+
+    def test_single_sequence_stderr_is_pooled(self):
+        energies = np.linalg.eigvalsh(sample_gue(32, 1.0, RngStream(27, 0)))
+        stats = gap_statistics([energies])
+        n = stats.ratios.size
+        assert stats.mean_ratio_stderr == stats.ratios.std(ddof=1) / math.sqrt(n)
+
 
 class TestStackApis:
     """evolve, partial_trace and purity over leading batch axes."""
