@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, haar, models, spectral, symgroup
 from .errors import NumericalError
-from .sim import RngStream, _check_counts, _one_blas_thread, _openblas, gap_statistics
+from .sim import RngStream, _openblas, _run_blocks, gap_statistics
 
 ANALYTIC_KINDS = (
     "chi",
@@ -139,6 +139,8 @@ def run_analytic(cfg):
     kind = cfg["kind"]
     reads = () if kind == "bessel" else ("d",) if kind in _ANALYTIC_D_KINDS else ("dA", "dB")
     unread = [f"--{flag}" for flag in ("d", "dA", "dB") if flag not in reads and cfg[flag]]
+    if kind != "bessel" and cfg["power"] != _DEFAULTS["analytic"]["power"]:
+        unread.append("--power")
     if unread:
         raise ValueError(f"analytic {kind} does not read {', '.join(unread)}")
     times = _time_grid(cfg["t-max"], cfg["dt"])
@@ -209,17 +211,12 @@ def run_montecarlo(cfg):
 
 def run_gaps(cfg):
     spec = _model_spec(cfg)
-    _check_counts(cfg["samples"], 1)
-    sampler = models.make_sampler(spec)
-    with _one_blas_thread:
-        spectra = [
-            levels
-            for i in range(cfg["samples"])
-            for levels in models.level_spectra(
-                spec, sampler(RngStream(cfg["seed"], i).generator())
-            )
-        ]
-    stats = gap_statistics(spectra)
+
+    def spectra(streams):
+        return [levels for stream in streams for levels in
+                models.level_spectra(spec, models.build_model(spec, stream.generator()))]
+
+    stats = gap_statistics(_run_blocks(spectra, cfg["samples"], RngStream(cfg["seed"])))
     counts, edges = np.histogram(stats.gaps, bins=cfg["bins"])
     table = [
         (_col("bin_left", "monte-carlo", "mean-gap units"), edges[:-1]),

@@ -38,8 +38,7 @@ from .sim import (
     MCResult,
     RngStream,
     _as_generator,
-    _check_counts,
-    _one_blas_thread,
+    _run_blocks,
     mc_average,
     sample_gue,
     sample_haar_unitary,
@@ -412,7 +411,7 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     fam = spec.family
     s = spec.n_spins
     if fam == "GUE":
-        return sample_gue(spec.d, spec.coupling("lambda", 1.0), gen)
+        return sample_gue(spec.d, 1.0, gen)
     if fam == "POISSON":
         energies, basis = _poisson_draw(spec.d, gen)
         return (basis * energies) @ basis.conj().T
@@ -673,24 +672,20 @@ def ensemble_dynamics(
     that pooled <(E_i - E_j)^2> = 2(d+1); the pilot takes Tr H and Tr H^2
     of each sample and diagonalises nothing.  The Gaussian and Poisson
     baselines are calibrated analytically and skip the pilot pass.  The
-    pilot and the Monte Carlo run under one OpenBLAS thread, as
-    :func:`guedyn.sim.mc_average` documents.  The Monte Carlo hands a POISSON
-    sample over as its drawn levels and Haar basis, and diagonalises an SYK
-    or CS sample per parity sector; the other families' samples are
-    diagonalised whole.
+    pilot and the Monte Carlo run on up to ``threads`` worker threads under
+    one OpenBLAS thread, as :func:`guedyn.sim.mc_average` documents.  The
+    Monte Carlo hands a POISSON sample over as its drawn levels and Haar
+    basis, and diagonalises an SYK or CS sample per parity sector; the other
+    families' samples are diagonalised whole.
     """
-    _check_counts(n_samples, threads)
     times = np.asarray(times, dtype=float)
-    sampler = make_sampler(spec)
     scale = 1.0
     if spec.family in SPIN_FAMILIES:
-        tot = np.empty(n_samples)
-        sq = np.empty(n_samples)
-        with _one_blas_thread:
-            for i in range(n_samples):
-                h = sampler(RngStream(rng.master_seed, stream_offset + i).generator())
-                tot[i] = np.trace(h).real
-                sq[i] = np.vdot(h, h).real
+        def moments(streams):
+            hs = (build_model(spec, stream.generator()) for stream in streams)  # one at a time
+            return [(np.trace(h).real, np.vdot(h, h).real) for h in hs]
+
+        tot, sq = np.array(_run_blocks(moments, n_samples, rng, stream_offset, threads)).T
         scale = _moment_scale(spec.d, tot, sq)
     return mc_average(
         _spectral_sampler(spec),

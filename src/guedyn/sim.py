@@ -1,17 +1,17 @@
 """Monte Carlo engine: random-matrix sampling, evolution, partial trace.
 
-Reproducibility contract: every sample of an ensemble run owns a
-counter-based random stream derived from ``(master_seed, sample_index)``
-via the Philox generator, so its draws do not depend on how samples are
-grouped.  :func:`mc_average` works on blocks of consecutive samples, whose
-length is set by the input size alone (``_BLOCK_ENTRIES``); each sample's
-arithmetic is the same in any block, and the reduction adds the samples
-strictly in sample-index order.  Results are therefore bit-identical for
-any block length and any number of worker threads.  The run holds numpy's
-bundled OpenBLAS at one thread (restored afterwards), because the LAPACK
-rounding depends on its thread count; the output then depends on the
-inputs alone, not on ``OPENBLAS_NUM_THREADS``.  Where that library is not
-found the thread count is left as it is.
+Reproducibility contract: every sample of a sampled pass owns a Philox
+counter-based random stream ``(master_seed, sample_index)``, so its draws
+do not depend on how samples are grouped; ``_run_blocks`` is the one loop
+that hands the streams out.  :func:`mc_average` works on blocks of
+consecutive samples, whose length is set by the input size alone
+(``_BLOCK_ENTRIES``); each sample's arithmetic is the same in any block,
+and the reduction adds the samples strictly in sample-index order.  Results
+are therefore bit-identical for any block length and any number of worker
+threads.  The run holds numpy's bundled OpenBLAS at one thread (restored
+afterwards), because the LAPACK rounding depends on its thread count; the
+output then depends on the inputs alone, not on ``OPENBLAS_NUM_THREADS``.
+Where that library is not found the thread count is left as it is.
 
 A sample is a dense Hamiltonian H or its eigendecomposition (energies,
 basis).  Time evolution is one spectral step, psi(t) = V e^{-iEt} V^dag
@@ -418,11 +418,29 @@ def _check_pair(pair, d):
     return energies, basis
 
 
-def _check_counts(n_samples, threads) -> None:
+def _run_blocks(job, n_samples, rng, stream_offset=0, threads=1, step=None, consume=None):
+    # Sample i draws from the stream (rng.master_seed, stream_offset + i).
+    # ``job`` takes the streams of ``step`` consecutive samples (default: one
+    # block per worker); up to ``threads`` workers take whole blocks under one
+    # OpenBLAS thread.  Returns ``consume`` of the lazy, block-ordered results
+    # (default: the per-block lists joined).
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if rng.stream_id:
+        raise ValueError(f"rng.stream_id is {rng.stream_id}, but sample i draws from stream"
+                         " stream_offset + i: pass stream_offset instead")
+    step = step or -(-n_samples // threads)
+    streams = [RngStream(rng.master_seed, stream_offset + i) for i in range(n_samples)]
+    blocks = [streams[i : i + step] for i in range(0, n_samples, step)]
+    consume = consume or (lambda results: [x for result in results for x in result])
+    workers = min(threads, len(blocks))
+    with _one_blas_thread:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return consume(pool.map(job, blocks))
+        return consume(map(job, blocks))
 
 
 def mc_average(
@@ -446,34 +464,26 @@ def mc_average(
     matching eigenvectors, H = basis diag(energies) basis^dag.  A dense H is
     diagonalised here; a pair is used as it is, which saves that ``eigh``
     where the sampler knows the eigendecomposition.  Sample i uses the
-    stream ``(rng.master_seed, stream_offset + i)``.  With the default random
-    product initial state, rho_A is reported in the rotated basis whose
-    first vector is the sampled |1_A>, matching the analytic coefficient
-    decomposition; ``initial_state="e1"`` keeps the computational basis.
+    stream ``(rng.master_seed, stream_offset + i)``, and ``rng.stream_id``
+    must be 0.  With the default random product initial state, rho_A is
+    reported in the rotated basis whose first vector is the sampled |1_A>,
+    matching the analytic coefficient decomposition; ``initial_state="e1"``
+    keeps the computational basis.
     ``threads`` must be >= 1; each worker thread takes whole blocks of
     consecutive samples, and OpenBLAS runs one thread throughout.
     """
-    _check_counts(n_samples, threads)
     if initial_state not in ("haar", "e1"):
         raise ValueError(f"unknown initial_state: {initial_state!r}")
     times = np.asarray(times, dtype=float)
-    streams = [
-        RngStream(rng.master_seed, stream_offset + i) for i in range(n_samples)
-    ]
     step = max(1, _BLOCK_ENTRIES // (d_A * d_B * times.size))
-    blocks = [streams[i : i + step] for i in range(0, n_samples, step)]
 
     def job(block):
         return _single_run(
             sampler, d_A, d_B, times, block, initial_state, scramble, energy_scale
         )
 
-    workers = min(threads, len(blocks))
-    with _one_blas_thread:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return _reduce(times, pool.map(job, blocks), n_samples, energy_scale, d_A)
-        return _reduce(times, map(job, blocks), n_samples, energy_scale, d_A)
+    return _run_blocks(job, n_samples, rng, stream_offset, threads, step,
+                       lambda blocks: _reduce(times, blocks, n_samples, energy_scale, d_A))
 
 
 def _reduce(times, blocks, n_samples, energy_scale, d_A) -> MCResult:

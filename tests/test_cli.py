@@ -127,6 +127,8 @@ class TestAnalytic:
          "analytic purity-poisson does not read --d"),
         (["bessel", "--d", "9"], "analytic bessel does not read --d"),
         (["bessel", "--dA", "2", "--dB", "3"], "analytic bessel does not read --dA, --dB"),
+        (["chi", "--d", "4", "--power", "4"], "analytic chi does not read --power"),
+        (["rho", "--dA", "2", "--dB", "2", "--power", "4"], "analytic rho does not read --power"),
     ])
     def test_unread_dimension_is_argument_error(self, tmp_path, capsys, monkeypatch,
                                                 argv, message):
@@ -143,6 +145,14 @@ class TestAnalytic:
         out = str(tmp_path / "x.csv")
         assert main(["analytic", "purity", "--config", str(cfg), "--out", out]) == 2
         assert "analytic purity does not read --d" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_unread_power_from_config_is_argument_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [4], "power": 4}))
+        out = str(tmp_path / "x.csv")
+        assert main(["analytic", "chi", "--config", str(cfg), "--out", out]) == 2
+        assert "analytic chi does not read --power" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_json_format(self, tmp_path):
@@ -584,6 +594,8 @@ class TestReplay:
          "--samples", "6", "--seed", "5"],
         ["analytic", "purity", "--dA", "2", "--dB", "3", "--dA", "2", "--dB", "2",
          "--t-max", "1", "--dt", "0.5"],
+        # the manifest records the default --power, which chi does not read
+        ["analytic", "chi", "--d", "4", "--t-max", "1", "--dt", "0.5"],
     ])
     def test_manifest_alone_reproduces_bytes(self, tmp_path, argv):
         first = str(tmp_path / "run.csv")

@@ -120,6 +120,12 @@ class TestBuilders:
         assert np.max(np.abs(h - h.conj().T)) <= 1e-10
         assert np.all(np.linalg.eigvalsh(h) > -1e-10)  # exponential levels
 
+    def test_gue_ignores_lambda_coupling(self):
+        # GUE is drawn at lambda = 1, the scale of its analytic baseline
+        plain = build_model(ModelSpec("GUE", 2, 2), RngStream(42, 0))
+        coupled = build_model(ModelSpec("GUE", 2, 2, {"lambda": 4.0}), RngStream(42, 0))
+        assert np.array_equal(plain, coupled)
+
     @pytest.mark.parametrize("family", ["GUE", "POISSON", *SPIN_FAMILIES])
     def test_bad_rng_is_type_error(self, family):
         # an integer is neither an RngStream nor a numpy Generator
@@ -454,6 +460,17 @@ class TestPilotPass:
         with pytest.raises(ValueError, match=message):
             ensemble_dynamics(ModelSpec("XXZ", 2, 4), self.times, n_samples,
                               RngStream(62), threads=threads)
+
+    @pytest.mark.parametrize("family", ["GUE", "XXZ"])
+    def test_stream_id_rejected_before_any_draw(self, monkeypatch, family):
+        from guedyn import models
+
+        def no_build(spec, rng):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(models, "build_model", no_build)
+        with pytest.raises(ValueError, match="pass stream_offset"):
+            ensemble_dynamics(ModelSpec(family, 2, 4), self.times, 4, RngStream(62, 1))
 
 
 class TestParitySectors:

@@ -308,6 +308,12 @@ class TestMcAverage:
             mc_average(self.gue_sampler, 2, 2, self.times, 4, RngStream(0),
                        threads=threads)
 
+    def test_stream_id_rejected(self):
+        # sample i draws from stream stream_offset + i, so a stream id would
+        # be ignored
+        with pytest.raises(ValueError, match="pass stream_offset"):
+            mc_average(self.gue_sampler, 2, 2, self.times, 4, RngStream(7, 3))
+
     def test_more_threads_than_samples(self):
         one = mc_average(self.gue_sampler, 2, 2, self.times, 2, RngStream(24))
         many = mc_average(self.gue_sampler, 2, 2, self.times, 2, RngStream(24),
