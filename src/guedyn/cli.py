@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, haar, models, spectral, symgroup
 from .errors import NumericalError
-from .sim import RngStream, _openblas, _run_blocks, gap_statistics
+from .sim import RngStream, _openblas, _restarted, _run_blocks, gap_statistics
 
 ANALYTIC_KINDS = (
     "chi",
@@ -213,8 +213,8 @@ def run_gaps(cfg):
     spec = _model_spec(cfg)
 
     def spectra(streams):
-        return [levels for stream in streams for levels in
-                models.level_spectra(spec, models.build_model(spec, stream.generator()))]
+        return [levels for gen in _restarted(streams) for levels in
+                models.level_spectra(spec, models.build_model(spec, gen))]
 
     stats = gap_statistics(_run_blocks(spectra, cfg["samples"], RngStream(cfg["seed"])))
     counts, edges = np.histogram(stats.gaps, bins=cfg["bins"])

@@ -38,10 +38,13 @@ from .sim import (
     MCResult,
     RngStream,
     _as_generator,
+    _BlockSampler,
+    _haar_unitaries,
+    _hermitian,
+    _restarted,
     _run_blocks,
     mc_average,
     sample_gue,
-    sample_haar_unitary,
     sample_so3,
 )
 
@@ -413,7 +416,7 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     if fam == "GUE":
         return sample_gue(spec.d, 1.0, gen)
     if fam == "POISSON":
-        energies, basis = _poisson_draw(spec.d, gen)
+        energies, basis = _poisson_sampler(spec.d)(gen)
         return (basis * energies) @ basis.conj().T
     if fam == "TFIM":
         rot = sample_so3(gen)
@@ -468,11 +471,6 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     raise AssertionError(fam)
 
 
-def _poisson_draw(d, gen):
-    # i.i.d. exponential levels of mean sqrt(d+1), then a Haar eigenbasis
-    return gen.exponential(np.sqrt(d + 1), size=d), sample_haar_unitary(d, gen)
-
-
 def make_sampler(spec: ModelSpec):
     """Sampler callable for :func:`guedyn.sim.mc_average`."""
     return lambda gen: build_model(spec, gen)
@@ -518,28 +516,57 @@ def _sector_blocks(H, sectors) -> np.ndarray:
     return H[sectors[:, :, None], sectors[:, None, :]]
 
 
-def _spectral_sampler(spec: ModelSpec):
-    # Sampler for mc_average that returns a sample's (energies, basis) where
-    # that costs less than a dense eigh, else the dense H of make_sampler.
-    # POISSON hands over its own draw.  A table that conserves parity has a
-    # zero even-odd block, so each sample is diagonalised as its two
-    # parity blocks (one stacked eigh) and the block eigenvectors are
-    # scattered into the full basis.
+def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
+    # Sampler for mc_average, read per stream and finished per block.  It
+    # gives a sample's (energies, basis) where that costs less than a dense
+    # eigh, else the dense H.  GUE reads its 2 d^2 normals and assembles the
+    # block's H; POISSON hands over its draw.  The spin families read
+    # build_model.  A table that conserves parity has a zero even-odd
+    # block, so the block's samples are diagonalised as their parity blocks
+    # (one stacked eigh) and the block eigenvectors are scattered into the
+    # full bases.
+    d = spec.d
+    if spec.family == "GUE":
+        def finish(rows, reads):
+            parts = rows.reshape(len(rows), 2, d, d)
+            return None, _hermitian(parts[:, 0], parts[:, 1]), np.zeros(len(rows), dtype=bool)
+
+        return _BlockSampler(2 * d * d, lambda gen, row: gen.standard_normal(out=row), finish)
     if spec.family == "POISSON":
-        return lambda gen: _poisson_draw(spec.d, gen)
+        return _poisson_sampler(d)
     sectors = _sectors(spec)
+
+    def read(gen, row):
+        return build_model(spec, gen)
+
     if sectors is None:
-        return make_sampler(spec)
-    half = spec.d // 2
-    cols = np.arange(spec.d).reshape(2, 1, half)
+        return _BlockSampler(0, read, lambda rows, reads: (None, np.stack(reads),
+                                                           np.zeros(len(reads), dtype=bool)))
+    cols = np.arange(d).reshape(2, 1, d // 2)
 
-    def sampler(gen):
-        energies, vectors = np.linalg.eigh(_sector_blocks(build_model(spec, gen), sectors))
-        basis = np.zeros((spec.d, spec.d), dtype=complex)
-        basis[sectors[:, :, None], cols] = vectors
-        return energies.reshape(spec.d), basis
+    def finish(rows, reads):
+        blocks = np.stack([_sector_blocks(h, sectors) for h in reads])
+        energies, vectors = np.linalg.eigh(blocks)
+        basis = np.zeros((len(reads), d, d), dtype=complex)
+        basis[:, sectors[:, :, None], cols] = vectors
+        return energies.reshape(-1, d), basis, np.ones(len(reads), dtype=bool)
 
-    return sampler
+    return _BlockSampler(0, read, finish)
+
+
+def _poisson_sampler(d: int) -> _BlockSampler:
+    # i.i.d. exponential levels of mean sqrt(d+1), then a Haar eigenbasis:
+    # the read takes d standard exponentials and the basis's 2 d^2 normals,
+    # the finish scales the levels and builds the bases
+    def read(gen, row):
+        gen.standard_exponential(out=row[:d])
+        gen.standard_normal(out=row[d:])
+
+    def finish(rows, reads):
+        return (np.sqrt(d + 1) * rows[:, :d], _haar_unitaries(rows[:, d:], d),
+                np.ones(len(rows), dtype=bool))
+
+    return _BlockSampler(d + 2 * d * d, read, finish)
 
 
 # Largest spread, relative to the largest |E|, of levels that a symmetry
@@ -682,7 +709,7 @@ def ensemble_dynamics(
     scale = 1.0
     if spec.family in SPIN_FAMILIES:
         def moments(streams):
-            hs = (build_model(spec, stream.generator()) for stream in streams)  # one at a time
+            hs = (build_model(spec, gen) for gen in _restarted(streams))  # one at a time
             return [(np.trace(h).real, np.vdot(h, h).real) for h in hs]
 
         tot, sq = np.array(_run_blocks(moments, n_samples, rng, stream_offset, threads)).T

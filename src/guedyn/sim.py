@@ -18,6 +18,12 @@ basis).  Time evolution is one spectral step, psi(t) = V e^{-iEt} V^dag
 psi0, from the eigendecomposition: :func:`evolve` takes it from ``eigh``
 of H, and the block kernel from one batched ``eigh`` of the block's dense
 samples or from the sampler itself.
+
+The block kernel's loop over samples only reads each sample's stream; what
+is built from the draws (H, the Haar QR, the normalised states, the
+completion unitary and the frame rotation) runs once per block on stacks,
+with the arithmetic of one sample at a time, hence its bytes.  The public
+single-sample functions are the one-sample case of the same helpers.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # loaded with the package, not inside a run's first draw
+
+from .errors import NumericalError
 
 __all__ = [
     "RngStream",
@@ -71,13 +79,17 @@ class RngStream:
         )
 
 
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+_ZERO_WORDS.flags.writeable = False
+
+
 def _restart(bitgen, stream: RngStream) -> None:
     # Put a Philox bit generator at the start of ``stream``: the same draws
     # as ``stream.generator()``, for a quarter of the cost of building one.
     bitgen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": stream._key()},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZERO_WORDS, "key": stream._key()},
+        "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -104,10 +116,12 @@ def sample_gue(d: int, lam: float = 1.0, rng=None, size=None) -> np.ndarray:
     gen = _as_generator(rng)
     shape = (d, d) if size is None else (size, d, d)
     scale = 1.0 / np.sqrt(lam)
-    a1 = gen.normal(0.0, scale, shape)
-    a2 = gen.normal(0.0, scale, shape)
-    swap = a1.swapaxes(-1, -2), a2.swapaxes(-1, -2)
-    return 0.5 * ((a1 + swap[0]) + 1j * (a2 - swap[1]))
+    return _hermitian(gen.normal(0.0, scale, shape), gen.normal(0.0, scale, shape))
+
+
+def _hermitian(a1, a2):
+    # ((A1 + A1^T) + i (A2 - A2^T)) / 2 over the last two axes
+    return 0.5 * ((a1 + a1.swapaxes(-1, -2)) + 1j * (a2 - a2.swapaxes(-1, -2)))
 
 
 def sample_haar_unitary(d: int, rng=None) -> np.ndarray:
@@ -118,11 +132,18 @@ def sample_haar_unitary(d: int, rng=None) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    gen = _as_generator(rng)
-    z = (gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))) / np.sqrt(2.0)
+    return _haar_unitaries(_as_generator(rng).standard_normal(2 * d * d), d)
+
+
+def _haar_unitaries(normals, d):
+    # (..., 2 d^2) normals, the real parts of a Ginibre matrix before its
+    # imaginary parts, each row-major -> (..., d, d) Haar unitaries, by one
+    # stacked QR with the phase fix of Mezzadri, Notices AMS 54, 592 (2007)
+    parts = normals.reshape(normals.shape[:-1] + (2, d, d))
+    z = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def sample_so3(rng=None) -> np.ndarray:
@@ -142,9 +163,20 @@ def sample_so3(rng=None) -> np.ndarray:
 
 def haar_state(d: int, rng=None) -> np.ndarray:
     """Haar-random unit vector in C^d."""
-    gen = _as_generator(rng)
-    z = gen.normal(size=d) + 1j * gen.normal(size=d)
-    return z / np.linalg.norm(z)
+    return _haar_states(_as_generator(rng).standard_normal(2 * d), d)
+
+
+def _haar_states(normals, d):
+    # (..., 2 d) normals, real parts then imaginary parts -> (..., d) unit
+    # vectors
+    z = normals[..., :d] + 1j * normals[..., d:]
+    return z / _norms(z)[..., None]
+
+
+def _norms(z):
+    # Euclidean norms over the last axis of a complex stack: the two real
+    # dot products of np.linalg.norm, hence its bytes
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
 def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
@@ -231,40 +263,39 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
 
 
 def completion_unitary(psi: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is ``psi``.
+    """Unitary whose first column is ``psi``; a (..., d) stack of states
+    gives the (..., d, d) stack of unitaries.
 
     Completed by Gram-Schmidt over the standard basis, skipping the basis
     vector with the largest overlap modulus (ties: lowest index), so the
     construction is deterministic.
     """
     psi = np.asarray(psi, dtype=complex)
-    d = psi.size
-    skip = int(np.argmax(np.abs(psi)))
-    cols = [psi / np.linalg.norm(psi)]
-    for j in range(d):
-        if j == skip:
-            continue
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
+    d = psi.shape[-1]
+    skip = np.argmax(np.abs(psi), axis=-1)[..., None]
+    cols = [psi / _norms(psi)[..., None]]
+    for c in range(d - 1):
+        v = (np.arange(d) == c + (c >= skip)).astype(complex)  # e_j, the c-th j != skip
         for u in cols:
-            v -= u * (u.conj() @ v)
-        norm = np.linalg.norm(v)
-        v /= norm
+            v -= u * np.vecdot(u, v)[..., None]
+        v /= _norms(v)[..., None]
         cols.append(v)
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 @dataclass
 class MCResult:
     """Per-time-point ensemble means and standard errors.
 
-    ``stages`` holds the CPU seconds spent drawing samples (``draw``), in
-    evolution, partial trace and purity (``evolve``) and in the reduction
-    (``reduce``), each summed over the threads that did the work; time a
-    worker spends waiting for the interpreter lock is not counted.  The
-    ``eigh`` of a dense sample counts under ``evolve``; a diagonalisation
-    done by the sampler itself, to return (energies, basis), counts under
-    ``draw``.
+    ``stages`` holds the CPU seconds spent drawing samples (``draw``: the
+    per-sample stream reads plus the block's transforms of them, that is
+    the sampler's finish, the scramble, the initial states and the frame
+    rotation), in evolution, partial trace and purity (``evolve``) and in
+    the reduction (``reduce``), each summed over the threads that did the
+    work; time a worker spends waiting for the interpreter lock is not
+    counted.  The ``eigh`` of a dense sample counts under ``evolve``; a
+    diagonalisation done by the sampler itself, to return (energies,
+    basis), counts under ``draw``.
     """
 
     times: np.ndarray
@@ -341,61 +372,148 @@ _one_blas_thread = _OneBlasThread()
 _BLOCK_ENTRIES = 2**14
 
 
-def _left(ud, m):
-    # (ud x I) m: one left product with the (d_A, d_B d) view of the
-    # (d, d) matrix m, whose rows are A-major.
-    return (ud @ m.reshape(ud.shape[1], -1)).reshape(m.shape)
+class _BlockSampler:
+    """A sampler in two steps, so that a block's transforms run once.
+
+    ``read(gen, row)`` draws one sample from its own stream, into ``row``
+    (``width`` floats) or as its return value.  ``finish(rows, reads)`` turns
+    a block's (n, width) rows and list of reads into its samples
+    ``(energies, mats, paired)``: mats[k] is the (d, d) basis of a pair
+    (paired[k]) with energies[k], else a dense H; ``energies`` is None when
+    no sample is a pair.  Called with a generator it draws one sample, as a
+    plain sampler does.
+    """
+
+    __slots__ = ("width", "read", "finish")
+
+    def __init__(self, width, read, finish):
+        self.width, self.read, self.finish = width, read, finish
+
+    def __call__(self, gen):
+        rows = np.empty((1, self.width))
+        energies, mats, paired = self.finish(rows, [self.read(gen, rows[0])])
+        return (energies[0], mats[0]) if paired[0] else mats[0]
 
 
-def _in_frame(H, u_a):
-    # (U^dag x I) H (U x I) by two left products with U^dag: K = (U^dag x I)
-    # H, then (U^dag x I) K^dag, which is the rotated H because H is
-    # Hermitian.
-    ud = u_a.conj().T
-    return _left(ud, np.conjugate(_left(ud, H).T, order="C"))
+def _plain_sampler(sampler, d) -> _BlockSampler:
+    # a plain sampler(gen) is the read, its sample checked and copied at
+    # once (a sampler may refill one array on every call); the finish
+    # stacks the dense samples and the pairs
+    return _BlockSampler(0, lambda gen, row: _checked(sampler(gen), d),
+                         lambda rows, reads: _stack_samples(reads, d))
+
+
+def _checked(sample, d):
+    if not isinstance(sample, tuple):
+        sample = np.array(sample)
+        if sample.shape != (d, d):
+            raise ValueError(f"sampler returned shape {sample.shape}, expected ({d}, {d})")
+        return sample
+    if len(sample) != 2:
+        raise ValueError(f"sampler returned a tuple of {len(sample)}, expected (energies, basis)")
+    energies, basis = np.array(sample[0]), np.array(sample[1])
+    if energies.shape != (d,) or basis.shape != (d, d):
+        raise ValueError(
+            f"sampler returned energies {energies.shape} and basis {basis.shape},"
+            f" expected ({d},) and ({d}, {d})"
+        )
+    return energies, basis
+
+
+def _stack_samples(samples, d):
+    n = len(samples)
+    energies = np.empty((n, d))
+    mats = np.empty((n, d, d), dtype=complex)
+    paired = np.array([isinstance(sample, tuple) for sample in samples])
+    for k, sample in enumerate(samples):
+        if paired[k]:
+            energies[k], mats[k] = sample
+        else:
+            mats[k] = sample
+    return energies, mats, paired
+
+
+def _restarted(streams):
+    # One generator for a block's streams, put at the start of each in turn
+    gen = streams[0].generator()
+    for stream in streams:
+        _restart(gen.bit_generator, stream)
+        yield gen
+
+
+def _check_finite(energies, mats, paired, streams) -> None:
+    bad = ~np.isfinite(mats).all(axis=(-2, -1))
+    if energies is not None:
+        bad |= paired & ~np.isfinite(energies).all(axis=-1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "energies or basis" if paired[k] else "Hamiltonian"
+        raise NumericalError(
+            f"the sample of stream {streams[k].stream_id} has a non-finite {what}")
+
+
+def _left(m, ud):
+    # (ud x I) m for a stack of (d, d) matrices m, whose rows are A-major:
+    # one left product with the (d_A, d_B d) view of each.
+    return (ud @ m.reshape(m.shape[:-2] + (ud.shape[-1], -1))).reshape(m.shape)
+
+
+def _each_kind(paired, mats, u, pair_op, dense_op):
+    # pair_op(V, u) on the bases of the pairs and dense_op(H, u) on the
+    # dense samples, each kind as one stack
+    if paired.all():
+        return pair_op(mats, u)
+    if not paired.any():
+        return dense_op(mats, u)
+    out = np.empty_like(mats)
+    for kind, op in ((paired, pair_op), (~paired, dense_op)):
+        out[kind] = op(mats[kind], u[kind])
+    return out
 
 
 def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scale):
-    # One block of consecutive samples.  Each sample draws from its own
-    # stream, in the order H, scramble unitary, psi_A, psi_B.  A sample is
-    # a dense H or its eigendecomposition (energies, basis V).  The scramble
-    # u turns H into u H u^dag, or V into u V.  With a random product state,
-    # the sample is rotated into the frame of the completion unitary U_A of
-    # psi_A (H into (U_A^dag x I) H (U_A x I), V into (U_A^dag x I) V) and
-    # evolved from e1 x psi_B, which gives U_A^dag rho_A U_A directly.  The
-    # dense samples of the block are diagonalised by one eigh, then one
-    # spectral step evolves the block.  Returns the (B, n) real samples
-    # (rho_A as real and imaginary parts, then the purities) and the draw
-    # and evolve seconds.
+    # One block of consecutive samples.  Each sample reads its own stream,
+    # in the order H (the sampler's read), scramble unitary, psi_A, psi_B;
+    # everything built from those draws then runs once on the block's
+    # stacks.  A sample is a dense H or its eigendecomposition (energies,
+    # basis V).  The scramble u turns H into u H u^dag, or V into u V.  With
+    # a random product state, the sample is rotated into the frame of the
+    # completion unitary U_A of psi_A (H into (U_A^dag x I) H (U_A x I), by
+    # two left products with U_A^dag, V into (U_A^dag x I) V) and evolved
+    # from e1 x psi_B, which gives U_A^dag rho_A U_A directly.  The dense
+    # samples are diagonalised by one eigh, then one spectral step evolves
+    # the block.  Returns the (B, n) real samples (rho_A as real and
+    # imaginary parts, then the purities) and the draw and evolve seconds.
     start = time.thread_time()
     d = d_A * d_B
     n = len(streams)
-    mats = np.empty((n, d, d), dtype=complex)  # H, or V of a pair
-    energies = np.empty((n, d))
-    paired = np.zeros(n, dtype=bool)
+    haar = initial_state == "haar"
+    rows = np.empty((n, sampler.width))
+    # per sample: the scramble's 2 d^2 normals, then 2 d_A for psi_A and
+    # 2 d_B for psi_B
+    normals = np.empty((n, 2 * d * d * scramble + 2 * (d_A + d_B) * haar))
+    reads = []
+    for k, gen in enumerate(_restarted(streams)):
+        reads.append(sampler.read(gen, rows[k]))
+        gen.standard_normal(out=normals[k])
+    energies, mats, paired = sampler.finish(rows, reads)
+    _check_finite(energies, mats, paired, streams)
+    if scramble:
+        u = _haar_unitaries(normals[:, : 2 * d * d], d)
+        mats = _each_kind(paired, mats, u, lambda v, u: u @ v,
+                          lambda h, u: u @ h @ u.conj().swapaxes(-1, -2))
+        normals = normals[:, 2 * d * d :]
     psi0 = np.zeros((n, d), dtype=complex)
-    gen = streams[0].generator()
-    for k, stream in enumerate(streams):
-        _restart(gen.bit_generator, stream)
-        M = sampler(gen)
-        if isinstance(M, tuple):
-            energies[k], M = _check_pair(M, d)
-            paired[k] = True
-        else:
-            M = np.asarray(M)
-            if M.shape != (d, d):
-                raise ValueError(f"sampler returned shape {M.shape}, expected ({d}, {d})")
-        if scramble:
-            u = sample_haar_unitary(d, gen)
-            M = u @ M if paired[k] else u @ M @ u.conj().T
-        if initial_state == "haar":
-            psi_a = haar_state(d_A, gen)
-            psi0[k, :d_B] = haar_state(d_B, gen)
-            u_a = completion_unitary(psi_a)
-            M = _left(u_a.conj().T, M) if paired[k] else _in_frame(M, u_a)
-        else:
-            psi0[k, 0] = 1.0
-        mats[k] = M
+    if haar:
+        u_a = completion_unitary(_haar_states(normals[:, : 2 * d_A], d_A))
+        ud = u_a.conj().swapaxes(-1, -2)
+        psi0[:, :d_B] = _haar_states(normals[:, 2 * d_A :], d_B)
+        # K = (U^dag x I) H, then (U^dag x I) K^dag, the rotated H as H is
+        # Hermitian
+        mats = _each_kind(paired, mats, ud, _left, lambda h, ud: _left(
+            np.conjugate(_left(h, ud).swapaxes(-1, -2), order="C"), ud))
+    else:
+        psi0[:, 0] = 1.0
     drawn = time.thread_time()
     if not paired.any():
         energies, mats = np.linalg.eigh(mats)
@@ -404,18 +522,6 @@ def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scal
     rho = partial_trace(_spectral_step(energies, mats, psi0, scale * times.ravel()), d_A, d_B)
     x = np.concatenate((rho.reshape(n, -1).view(float), purity(rho)), axis=1)
     return x, drawn - start, time.thread_time() - drawn
-
-
-def _check_pair(pair, d):
-    if len(pair) != 2:
-        raise ValueError(f"sampler returned a tuple of {len(pair)}, expected (energies, basis)")
-    energies, basis = np.asarray(pair[0]), np.asarray(pair[1])
-    if energies.shape != (d,) or basis.shape != (d, d):
-        raise ValueError(
-            f"sampler returned energies {energies.shape} and basis {basis.shape},"
-            f" expected ({d},) and ({d}, {d})"
-        )
-    return energies, basis
 
 
 def _run_blocks(job, n_samples, rng, stream_offset=0, threads=1, step=None, consume=None):
@@ -470,10 +576,13 @@ def mc_average(
     matching the analytic coefficient decomposition; ``initial_state="e1"``
     keeps the computational basis.
     ``threads`` must be >= 1; each worker thread takes whole blocks of
-    consecutive samples, and OpenBLAS runs one thread throughout.
+    consecutive samples, and OpenBLAS runs one thread throughout.  A sample
+    with a non-finite H, energy or basis raises NumericalError.
     """
     if initial_state not in ("haar", "e1"):
         raise ValueError(f"unknown initial_state: {initial_state!r}")
+    if not isinstance(sampler, _BlockSampler):
+        sampler = _plain_sampler(sampler, d_A * d_B)
     times = np.asarray(times, dtype=float)
     step = max(1, _BLOCK_ENTRIES // (d_A * d_B * times.size))
 

@@ -559,6 +559,28 @@ class TestParitySectors:
                     else:
                         assert np.max(np.abs(getattr(got, name) - want)) <= 1e-13
 
+    def test_pair_families_keep_their_bytes(self):
+        # Written by the kernel that drew and transformed one sample at a
+        # time (Haar basis, scramble, psi_A's completion and the frame
+        # rotation per sample), before those transforms ran on the block's
+        # stacks.  Exact under the numpy and OpenBLAS build that wrote it,
+        # else to 1e-13, as above.
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), "data", "mc_pair_reference.npz")
+        ref = np.load(path)
+        exact = str(ref["numpy"]) == np.__version__ and str(ref["blas"]) == _blas_config()
+        for family, d_a, d_b in (("POISSON", 2, 2), ("SYK", 2, 4), ("CS", 2, 4)):
+            for scramble in (False, True):
+                got = ensemble_dynamics(ModelSpec(family, d_a, d_b), self.times, 20,
+                                        RngStream(72), threads=2, scramble=scramble)
+                for name in ("rho_mean", "rho_stderr", "purity_mean", "purity_stderr"):
+                    want = ref[f"{family}_{int(scramble)}_{name}"]
+                    if exact:
+                        assert np.array_equal(getattr(got, name), want), (family, name)
+                    else:
+                        assert np.max(np.abs(getattr(got, name) - want)) <= 1e-13
+
 
 def _blas_config() -> str:
     # the configuration string of numpy's bundled OpenBLAS (version and CPU

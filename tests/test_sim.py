@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from guedyn.errors import NumericalError
 from guedyn.haar import rho_coefficients_closed_form
 from guedyn.sim import (
     GapStats,
@@ -716,3 +717,139 @@ class TestSpectralSamples:
         for other in results[1:]:
             for a, b in zip(_fields(results[0]), _fields(other)):
                 assert np.array_equal(a, b)
+
+
+class TestNonFiniteSamples:
+    """A non-finite sample raises NumericalError, naming its stream, before
+    any transform, eigh or spectral step."""
+
+    times = np.linspace(0.0, 2.0, 5)
+
+    @staticmethod
+    def third_sample_spoiled(spoil):
+        # sample 2 of a one-thread, one-block run is the third call
+        calls = []
+
+        def sampler(gen):
+            energies, basis = gen.normal(size=4), sample_haar_unitary(4, gen)
+            calls.append(None)
+            return spoil(energies, basis) if len(calls) == 3 else (energies, basis)
+
+        return sampler
+
+    @pytest.mark.parametrize("spoil", [
+        lambda e, v: (np.where(np.arange(4) == 1, np.inf, e), v),
+        lambda e, v: (e, np.where(np.eye(4, dtype=bool), np.nan, v)),
+    ])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_pair_raises(self, spoil, scramble):
+        # an inf energy used to give NaN means and a RuntimeWarning
+        with pytest.raises(NumericalError, match="stream 2 has a non-finite energies or basis"):
+            mc_average(self.third_sample_spoiled(spoil), 2, 2, self.times, 4, RngStream(96),
+                       scramble=scramble)
+
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_dense_h_raises(self, scramble):
+        # a NaN dense H used to raise LinAlgError from eigh
+        def spoil(energies, basis):
+            h = (basis * energies) @ basis.conj().T
+            h[0, 1] = np.nan
+            return h
+
+        with pytest.raises(NumericalError, match="stream 2 has a non-finite Hamiltonian"):
+            mc_average(self.third_sample_spoiled(spoil), 2, 2, self.times, 4, RngStream(97),
+                       scramble=scramble)
+
+
+def _gram_schmidt(psi):
+    # completion_unitary as it was written for one state: per basis vector,
+    # subtract the projections with matmul, normalise with np.linalg.norm
+    d = psi.size
+    skip = int(np.argmax(np.abs(psi)))
+    cols = [psi / np.linalg.norm(psi)]
+    for j in range(d):
+        if j == skip:
+            continue
+        v = np.zeros(d, dtype=complex)
+        v[j] = 1.0
+        for u in cols:
+            v -= u * (u.conj() @ v)
+        v /= np.linalg.norm(v)
+        cols.append(v)
+    return np.column_stack(cols)
+
+
+class TestStackedHelpers:
+    """The block's transforms on stacks give the bytes of one sample at a time."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_completion_unitary_stack(self, d):
+        gen = RngStream(98, d).generator()
+        psis = [haar_state(d, gen) for _ in range(16)]
+        flat = np.full(d, 1 / np.sqrt(d), dtype=complex)  # every modulus tied
+        psis += [flat, np.exp(1j * np.arange(d)) * flat]
+        psis += list(np.eye(d, dtype=complex))  # basis vectors
+        stack = np.array(psis)
+        got = completion_unitary(stack)
+        assert got.shape == (len(psis), d, d)
+        for k, psi in enumerate(psis):
+            assert np.array_equal(got[k], _gram_schmidt(psi)), k
+            assert np.array_equal(got[k], completion_unitary(psi)), k
+        assert np.array_equal(completion_unitary(stack[:16].reshape(2, 8, d)),
+                              got[:16].reshape(2, 8, d, d))
+
+    def test_tied_moduli_skip_the_lowest_index(self):
+        # psi = (1, 1)/sqrt 2 skips e_0 and completes with e_1 - psi/sqrt 2
+        u = completion_unitary(np.array([1.0, 1.0]) / np.sqrt(2))
+        assert np.allclose(u[:, 1], np.array([-1.0, 1.0]) / np.sqrt(2), atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_haar_unitaries_per_stream(self, d):
+        from guedyn.sim import _haar_unitaries
+
+        streams = [RngStream(99, i) for i in range(7)]
+        rows = np.empty((len(streams), 2 * d * d))
+        for row, stream in zip(rows, streams):
+            stream.generator().standard_normal(out=row)
+        got = _haar_unitaries(rows, d)
+        for k, stream in enumerate(streams):
+            assert np.array_equal(got[k], sample_haar_unitary(d, stream))
+            # as it was written for one matrix: two normal calls, one QR
+            gen = stream.generator()
+            z = (gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            diag = np.diagonal(r)
+            assert np.array_equal(got[k], q * (diag / np.abs(diag)))
+
+    @pytest.mark.parametrize("d_A, d_B", [(1, 4), (2, 2), (2, 4), (3, 5)])
+    def test_one_fill_is_the_separate_draws(self, d_A, d_B):
+        # the kernel's fill per sample: scramble unitary, psi_A, psi_B
+        d = d_A * d_B
+        stream = RngStream(100, d)
+        row = np.empty(2 * d * d + 2 * (d_A + d_B))
+        stream.generator().standard_normal(out=row)
+        gen = stream.generator()
+        want = [gen.normal(size=(d, d)), gen.normal(size=(d, d)), gen.normal(size=d_A),
+                gen.normal(size=d_A), gen.normal(size=d_B), gen.normal(size=d_B)]
+        assert np.array_equal(row, np.concatenate([w.ravel() for w in want]))
+
+    @pytest.mark.parametrize("family", ["GUE", "POISSON"])
+    def test_sampler_reads_are_the_separate_draws(self, family):
+        # GUE: the two normal matrices of sample_gue; POISSON: its scaled
+        # exponential levels, then the normals of its Haar basis
+        from guedyn import models
+
+        d = 6
+        sampler = models._spectral_sampler(models.ModelSpec(family, 2, 3))
+        stream = RngStream(101, 0)
+        row = np.empty(sampler.width)
+        sampler.read(stream.generator(), row)
+        gen = stream.generator()
+        if family == "GUE":
+            assert np.array_equal(row, gen.normal(0.0, 1.0, 2 * d * d))
+            assert np.array_equal(sampler(stream.generator()), sample_gue(d, 1.0, stream))
+        else:
+            levels = gen.exponential(np.sqrt(d + 1), size=d)
+            assert np.array_equal(np.sqrt(d + 1) * row[:d], levels)
+            assert np.array_equal(row[d:], gen.normal(size=2 * d * d))
+
