@@ -84,7 +84,9 @@ __all__ = [
 STATISTICS = ("GUE", "POISSON")
 
 # The time grid is processed in chunks of _CHUNK_BYTES / (16 d^2) times, so
-# each real (chunk, d, d) block of H stacks stays under half of it.
+# each real (chunk, d, d) block of H stacks stays under half of it.  Only one
+# chunk's stacks, and the loop products built from them, are alive at a time,
+# so a curve's memory does not grow with its grid.
 _CHUNK_BYTES = 8 * 2**20
 
 # The scale step of _h_stack.  A recurrence step multiplies a value by at most
@@ -134,8 +136,9 @@ def _check_statistics(statistics: str) -> None:
         raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
 
 
-def _h_stack(d: int, times: np.ndarray) -> np.ndarray:
-    """Real symmetric (T, d, d) stack H with F(t) = E H(t) E.
+def _h_stack(d: int, times: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """Real symmetric (T, d, d) stack H with F(t) = E H(t) E, written into
+    the first T matrices of buf when one is given.
 
     Along each diagonal k, h_n = H[n, n+k] obeys, with x = t^2,
 
@@ -173,7 +176,7 @@ def _h_stack(d: int, times: np.ndarray) -> np.ndarray:
     np.multiply(h, parity, out=h, where=t < 0)  # sign(t)^k
     e = (-_BIG_BITS * m).astype(np.int64)
     scaled = e.any()
-    out = np.empty((times.size, d, d))
+    out = np.empty((times.size, d, d)) if buf is None else buf[:times.size]
     for n in range(d):
         row = np.ldexp(h, e[:, : d - n]) if scaled else h
         out[:, n, n:] = row
@@ -283,15 +286,18 @@ def _correlators(coeff_sets, d: int, times: np.ndarray) -> list[np.ndarray]:
     """Prefactored correlators (see :func:`correlator`) over a time grid.
 
     Each coefficient tuple's permutation expansion is formed once; every
-    chunk builds H(|c| t) once per distinct |c| and shares loop traces
-    between the tuples.
+    chunk builds H(|c| t) once per distinct |c|, in the same buffer for
+    every chunk, and shares loop traces between the tuples.
     """
     expansions = [_expansion(coeffs) for coeffs in coeff_sets]
     keys = {key for terms in expansions for _, loops in terms for key in loops}
     scales = {c for key in keys for c, _ in key}
     out = [np.empty(times.size) for _ in coeff_sets]
+    stacks = {}
     for sl in _chunks(d, times.size):
-        stacks = {s: _h_stack(d, s * times[sl]) for s in scales}
+        # each chunk writes its H into the last chunk's stacks, so one set is
+        # alive at a time and its pages are not freed and faulted in again
+        stacks = {s: _h_stack(d, s * times[sl], stacks.get(s)) for s in scales}
         traces = _loop_traces(keys, stacks, d)
         for total, terms in zip(out, expansions):
             acc = 0.0
@@ -520,12 +526,6 @@ def bessel_limit(tau: float, power: int = 2) -> float:
     return _finite(float((j1(2 * tau) / tau) ** power), f"Bessel limit at tau={tau}")
 
 
-# Times per fn call in find_extrema.  Small enough that a block's
-# temporaries stay minor (one chi_curve call on a whole 1001-time grid at
-# d = 60 allocates about 16 MB per chunk), large enough that the per-call
-# overhead of the one-point functions is shared by many times.
-_SCAN_BLOCK = 32
-
 # The refinement of find_extrema samples _ZOOM_POINTS new times per bracket
 # and round, on a grid that keeps the bracket's ends and centre, so a round
 # narrows every bracket _ZOOM_POINTS // 2 + 1 times.  A second difference
@@ -535,31 +535,26 @@ _ZOOM_POINTS = 8
 _ZOOM_NOISE = 1024
 
 
-def _scan(fn, ts: np.ndarray, blockwise: bool = True) -> tuple[np.ndarray, bool]:
+def _scan(fn, ts: np.ndarray, arrays: bool = True) -> tuple[np.ndarray, bool]:
     """fn over ts, checked finite, and whether fn still takes arrays.
 
-    While blockwise, fn is called once per block of _SCAN_BLOCK points and
-    must map the array to the elementwise array; once it raises TypeError
-    or ValueError, or returns another shape, it is called once per point.
+    While arrays, fn is called once with all of ts and must map the array to
+    the elementwise array; once it raises TypeError or ValueError, or
+    returns another shape, it is called once per point.
     """
-    out = np.empty(ts.size)
-    for start in range(0, ts.size, _SCAN_BLOCK):
-        block = ts[start:start + _SCAN_BLOCK]
-        if blockwise:
-            try:
-                values = np.asarray(fn(block), dtype=float)
-            except (TypeError, ValueError):
-                blockwise = False
-            else:
-                if values.shape == block.shape:
-                    out[start:start + block.size] = values
-                    continue
-                blockwise = False
-        out[start:start + block.size] = [fn(t) for t in block]
-    return _finite(out, "curve value in find_extrema"), blockwise
+    if arrays:
+        try:
+            values = np.asarray(fn(ts), dtype=float)
+        except (TypeError, ValueError):
+            arrays = False
+        else:
+            arrays = values.shape == ts.shape
+    if not arrays:
+        values = np.fromiter(map(fn, ts), float, ts.size)
+    return _finite(values, "curve value in find_extrema"), arrays
 
 
-def _zoom(fn, blockwise: bool, centres, signs, triples, step: float, tol: float,
+def _zoom(fn, arrays: bool, centres, signs, triples, step: float, tol: float,
           noise: float) -> tuple[np.ndarray, np.ndarray]:
     """Minima of signs * fn in the brackets centres -/+ step, whose values at
     (centre - step, centre, centre + step) are the rows of triples, refined
@@ -571,15 +566,15 @@ def _zoom(fn, blockwise: bool, centres, signs, triples, step: float, tol: float,
     g = signs[:, None] * triples  # signs * fn at t - s, t, t + s
     vertex = t.copy()
     s, idx = step, np.arange(t.size)
-    while idx.size:
+    while True:
         curvature = (g[idx, 0] - g[idx, 1]) + (g[idx, 2] - g[idx, 1])
         resolved = curvature > noise
         idx, curvature = idx[resolved], curvature[resolved]
         vertex[idx] = t[idx] + s * (g[idx, 0] - g[idx, 2]) / (2.0 * curvature)
-        if 2.0 * s < tol:
+        if not idx.size or 2.0 * s < tol:
             break
         s /= q
-        values, blockwise = _scan(fn, (t[idx, None] + s * cols).ravel(), blockwise)
+        values, arrays = _scan(fn, (t[idx, None] + s * cols).ravel(), arrays)
         grid = np.empty((idx.size, 2 * q + 1))
         grid[:, [0, q, 2 * q]] = g[idx]
         grid[:, cols + q] = signs[idx, None] * values.reshape(idx.size, cols.size)
@@ -587,7 +582,7 @@ def _zoom(fn, blockwise: bool, centres, signs, triples, step: float, tol: float,
         t[idx] += (k - q) * s
         g[idx] = grid[np.arange(idx.size)[:, None], k[:, None] + np.arange(-1, 2)]
 
-    at_vertex = signs * _scan(fn, vertex, blockwise)[0]
+    at_vertex = signs * _scan(fn, vertex, arrays)[0]
     keep = at_vertex <= g[:, 1]
     return np.where(keep, vertex, t), signs * np.where(keep, at_vertex, g[:, 1])
 
@@ -608,14 +603,15 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     smallest sample if none did), evaluated once and kept only if its value
     is no worse than the smallest sample.  Returns [(t, value), ...].
 
-    fn is called on consecutive blocks of at most 32 times, a 1-d float
-    array each, so it must either act elementwise on an array (as the
-    one-point functions of this module do) or raise TypeError or ValueError.
-    If it raises, or returns anything but one value per time, fn is called
-    once per time for the rest of the call, refinement included.  For m
-    extrema the refinement makes at most R ceil(8 m / 32) + ceil(m / 32)
-    block calls, with R = 1 + floor(log_5(2 step / tol)) rounds (8 at the
-    defaults).
+    fn is called once per pass with all of the pass's times, a 1-d float
+    array, so it must either act elementwise on an array (as the one-point
+    functions of this module do) or raise TypeError or ValueError.  The
+    passes are the dense grid, one per refinement round (8 times for each
+    open bracket) and one for the vertices, so fn is called at most R + 2
+    times, with R = 1 + floor(log_5(2 step / tol)) rounds (8 at the
+    defaults).  If fn raises, or returns anything but one value per time,
+    it is called once per time for the rest of the call, refinement
+    included.
 
     With delta the absolute error of fn's values and s the cell width of
     the last resolving triple, the position is resolved to about
@@ -631,7 +627,7 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     if not all(math.isfinite(v) and v > 0 for v in (t_max, step, tol)):
         raise ValueError("t_max, step and tol must be finite and positive")
     ts = np.arange(0.0, t_max + 0.5 * step, step)
-    fs, blockwise = _scan(fn, ts)
+    fs, arrays = _scan(fn, ts)
     diffs = np.diff(fs)
     scale = max(1.0, float(np.max(np.abs(fs))))
 
@@ -647,6 +643,6 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
         return []
     at = np.array(brackets)
     triples = fs[at[:, None] + np.arange(3)]
-    positions, values = _zoom(fn, blockwise, ts[at + 1], np.array(signs), triples,
+    positions, values = _zoom(fn, arrays, ts[at + 1], np.array(signs), triples,
                               step, tol, _ZOOM_NOISE * np.finfo(float).eps * scale)
     return [(float(t), float(v)) for t, v in zip(positions, values)]

@@ -28,7 +28,6 @@ __all__ = [
     "character",
     "weingarten",
     "class_table",
-    "weingarten_matrix",
 ]
 
 
@@ -269,16 +268,3 @@ def class_table(q: int) -> tuple[list[Permutation], list[tuple[int, ...]], np.nd
         rows = slice(start, start + _CLASS_BLOCK)
         table[rows] = lookup[images[rows] @ weights]
     return elements, classes, table
-
-
-def weingarten_matrix(d: int, q: int) -> tuple[list[Permutation], list[list[Fraction]]]:
-    """The q! x q! matrix Wg(d, sigma * tau^-1) over all of S_q.
-
-    Returns the element order (lexicographic one-line notation) together
-    with the matrix as nested lists of ``Fraction``.  The matrix is
-    symmetric with constant diagonal Wg(d, identity class).
-    """
-    elements, classes, table = class_table(q)
-    wg = [weingarten(d, mu) for mu in classes]
-    matrix = [[wg[c] for c in row] for row in table.tolist()]
-    return elements, matrix

@@ -82,7 +82,7 @@ class TestAnalytic:
 
     def test_non_finite_curve_is_numerical_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(spectral, "_h_stack",
-                            lambda d, times: np.full((len(times), d, d), np.nan))
+                            lambda d, times, buf=None: np.full((len(times), d, d), np.nan))
         out = str(tmp_path / "chi.csv")
         code = main(["analytic", "chi", "--d", "6", "--t-max", "1",
                      "--dt", "0.5", "--out", out])

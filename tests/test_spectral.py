@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -441,6 +442,21 @@ class TestGrid:
             for chi in curves[1:]:
                 assert np.array_equal(chi, curves[0])
 
+    def test_one_chunk_alive_at_a_time(self):
+        # 1001 times at d = 60 are 7 chunks of 145; the peak holds one
+        # chunk's (145, 60, 60) stack, not two
+        d, ts = 60, np.linspace(0.0, 1.0, 1001)
+        chunk = spectral._CHUNK_BYTES // (16 * d * d)
+        assert ts.size > 2 * chunk
+        chi_curve("GUE", d, ts[:2])  # fill the caches of tables and terms
+        tracemalloc.start()
+        try:
+            chi_curve("GUE", d, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * chunk * d * d * 8
+
     @pytest.mark.parametrize("d", [60, 150])
     def test_chi_agrees_with_matmul_correlator(self, d):
         ts = np.linspace(0.05, 6.0, 24)
@@ -458,7 +474,7 @@ class TestGrid:
     def test_non_finite_raises(self, monkeypatch):
         # whatever makes the stack non-finite, no public return carries it
         monkeypatch.setattr(spectral, "_h_stack",
-                            lambda d, times: np.full((len(times), d, d), np.nan))
+                            lambda d, times, buf=None: np.full((len(times), d, d), np.nan))
         with pytest.raises(NumericalError):
             chi_mean(6, 1.0)
         with pytest.raises(NumericalError):
@@ -538,7 +554,8 @@ class TestExtremaRefinement:
     def test_zoom_stops_at_the_value_noise(self):
         # the noise floor is 1024 eps 1e6 = 2.3e-7: the scan triple's second
         # difference 2 step^2 = 2e-6 resolves, that of the first round's cells
-        # (s = 2e-4, 8e-8) does not, so one round and the vertex follow the scan
+        # (s = 2e-4, 8e-8) does not, so one round and the vertex follow the
+        # scan, one call each
         sizes = []
 
         def fn(t):
@@ -546,7 +563,7 @@ class TestExtremaRefinement:
             return (t - 1.3) ** 2 + 1e6
 
         (t_min, _), = find_extrema(fn, 3.0)
-        assert len(sizes) == math.ceil(3001 / spectral._SCAN_BLOCK) + 2
+        assert sizes == [3001, 8, 1]
         assert abs(t_min - 1.3) <= 1e-6
 
     @pytest.mark.parametrize("t_max,step,tol", [
@@ -602,8 +619,8 @@ class TestArrayWrappers:
 
 
 class TestBlockScan:
-    # (fn, t_max, step): grids of 25 points (under one block), 6001, 1251
-    # and 1001 points (none a multiple of the block size), and a quadratic.
+    # (fn, t_max, step): grids of 25, 6001, 1251 and 1001 points (the last
+    # spans 7 chunks of the curve at d = 60), and a quadratic.
     CASES = [
         (lambda t: chi_mean(4, t), 6.0, 0.25),
         (lambda t: chi_mean(4, t), 6.0, 1e-3),
@@ -614,12 +631,10 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("fn,t_max,step", CASES)
     def test_identical_to_per_point_scan(self, fn, t_max, step):
-        n_points = np.arange(0.0, t_max + 0.5 * step, step).size
-        assert n_points < spectral._SCAN_BLOCK or n_points % spectral._SCAN_BLOCK
-        block = find_extrema(fn, t_max, step)
-        assert block and block == find_extrema(scalar_only(fn), t_max, step)
+        extrema = find_extrema(fn, t_max, step)
+        assert extrema and extrema == find_extrema(scalar_only(fn), t_max, step)
 
-    def test_one_call_per_block(self):
+    def test_one_call_per_pass(self):
         sizes = []
 
         def fn(t):
@@ -627,16 +642,17 @@ class TestBlockScan:
             return chi_mean(13, t)
 
         m = len(find_extrema(fn, 1.25))
-        block = spectral._SCAN_BLOCK
-        n_scan = math.ceil(1251 / block)
-        scan, later = sizes[:n_scan], sizes[n_scan:]
-        assert None not in scan and sum(scan) == 1251 and max(scan) == block
-        assert later and None not in later and max(later) <= block
-        # the bound stated in find_extrema's docstring: R rounds of
-        # ceil(points m / block) calls, then ceil(m / block) for the vertices
+        assert sizes[0] == 1251  # the whole dense grid
+        # then one call per zoom round, 8 times per open bracket and brackets
+        # only close, and one call with the m vertices
         points = spectral._ZOOM_POINTS
+        zoom, vertices = sizes[1:-1], sizes[-1]
+        assert zoom and zoom[0] == points * m and vertices == m
+        assert all(n % points == 0 for n in zoom) and zoom == sorted(zoom, reverse=True)
+        # the bound stated in find_extrema's docstring: R rounds, the scan
+        # and the vertices
         rounds = 1 + math.floor(math.log(2 * 1e-3 / 1e-8, points // 2 + 1))
-        assert len(later) <= rounds * math.ceil(points * m / block) + math.ceil(m / block)
+        assert len(sizes) <= rounds + 2
 
     def test_wrong_shape_falls_back_to_per_point(self):
         calls = []

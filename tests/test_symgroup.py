@@ -16,8 +16,21 @@ from guedyn.symgroup import (
     hook_dimension,
     partitions,
     weingarten,
-    weingarten_matrix,
 )
+
+
+def weingarten_matrix(d: int, q: int) -> tuple[list[Permutation], list[list[Fraction]]]:
+    """The q! x q! matrix Wg(d, sigma * tau^-1) over all of S_q.
+
+    Returns the element order (lexicographic one-line notation) together
+    with the matrix as nested lists of ``Fraction``, read through
+    ``class_table``.  The matrix is symmetric with constant diagonal
+    Wg(d, identity class).
+    """
+    elements, classes, table = class_table(q)
+    wg = [weingarten(d, mu) for mu in classes]
+    matrix = [[wg[c] for c in row] for row in table.tolist()]
+    return elements, matrix
 
 
 def table1_denominator(d, q):
