@@ -238,15 +238,24 @@ def run_distance(cfg):
             raise ValueError(f"unknown model family {fam!r}")
     d_a, d_b, samples = cfg["dA"], cfg["dB"], cfg["samples"]
     times = _time_grid(6.0, cfg["dt"])  # the fixed D6 window [0, 6]
+    couplings = _couplings(cfg)
+    unread = [f"--{name}" for name in couplings
+              if not any(name in models.COUPLINGS[fam] for fam in requested)]
+    if unread:
+        raise ValueError(f"no family of --models {' '.join(requested)} reads {', '.join(unread)}")
+    # each family gets the couplings it reads, and every spec is checked
+    # before any sampling
+    ordered = ["GUE", "POISSON"] + [f for f in requested if f not in ("GUE", "POISSON")]
+    specs = [models.ModelSpec(fam, d_a, d_b, {name: value for name, value in couplings.items()
+                                               if name in models.COUPLINGS[fam]})
+             for fam in ordered]
     an_gue = models.analytic_gue_trace(d_a, d_b, times)
     an_poi = models.analytic_poisson_trace(d_a, d_b, times)
-    couplings = _couplings(cfg)
 
-    ordered = ["GUE", "POISSON"] + [f for f in requested if f not in ("GUE", "POISSON")]
     traces = {}
     stages = {}
-    for idx, fam in enumerate(ordered):
-        spec = models.ModelSpec(fam, d_a, d_b, couplings)
+    for idx, spec in enumerate(specs):
+        fam = spec.family
         result = models.ensemble_dynamics(
             spec,
             times,
@@ -468,7 +477,9 @@ _DEFAULTS = {
     },
 }
 
-_COUPLING_FLAGS = ("J", "B", "J1", "J2", "J3")
+# every name of models.COUPLINGS, in order of first use
+_COUPLING_FLAGS = tuple(dict.fromkeys(
+    name for names in models.COUPLINGS.values() for name in names))
 
 
 def build_parser() -> argparse.ArgumentParser:

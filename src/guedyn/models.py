@@ -51,6 +51,7 @@ from .sim import (
 __all__ = [
     "PauliString",
     "ModelSpec",
+    "COUPLINGS",
     "SPIN_FAMILIES",
     "FAMILIES",
     "jordan_wigner_majoranas",
@@ -128,19 +129,30 @@ class _PauliTable:
         every x mask flips an even number of spins."""
         return all(int(x).bit_count() % 2 == 0 for x in self.xs)
 
-    def matrix(self, coeffs) -> np.ndarray:
-        """Dense sum_t coeffs[t] * term t."""
+    def _merged(self, coeffs) -> np.ndarray:
+        # w[g, z]: summed coefficient of X^xs[g] Z^z
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != self.z.shape:
             raise ValueError(f"expected {self.z.size} coefficients, got {coeffs.shape}")
-        d = 1 << self.n_spins
-        n_groups = self.xs.size
-        # w[g, z]: summed coefficient of X^xs[g] Z^z.  A Walsh-Hadamard
-        # transform over z turns it into the diagonal of Z^z-sums,
-        # w[g, c] = sum_z w[g, z] (-1)^{|c & z|}, which X^xs[g] moves to row
-        # c ^ xs[g] of column c.
-        w = np.zeros((n_groups, d), dtype=complex)
+        w = np.zeros((self.xs.size, 1 << self.n_spins), dtype=complex)
         np.add.at(w, (self.group, self.z), coeffs * self.phase)
+        return w
+
+    def moments(self, coeffs) -> tuple[float, float]:
+        """(Tr H, Tr H^2) of ``matrix(coeffs)``, without building H.  The strings
+        X^x Z^z are trace-orthogonal, Tr((X^x Z^z)^dag X^x' Z^z') = d delta,
+        so Tr H = d w[x=0, z=0] and Tr H^2 = Tr H^dag H = d sum |w|^2."""
+        w = self._merged(coeffs)
+        d = w.shape[1]
+        return (d * w[0, 0].real if self.xs[0] == 0 else 0.0), d * np.vdot(w, w).real
+
+    def matrix(self, coeffs) -> np.ndarray:
+        """Dense sum_t coeffs[t] * term t."""
+        # A Walsh-Hadamard transform over z turns the merged coefficients
+        # into the diagonal of Z^z-sums, w[g, c] = sum_z w[g, z] (-1)^{|c & z|},
+        # which X^xs[g] moves to row c ^ xs[g] of column c.
+        w = self._merged(coeffs)
+        n_groups, d = w.shape
         half = 1
         while half < d:
             pairs = w.reshape(n_groups, -1, 2, half)
@@ -250,8 +262,9 @@ def _syk_table(s: int) -> _PauliTable:
 
 # ---------------------------------------------------------------------------
 # Hamiltonian builders.  Each takes its random inputs explicitly so tests
-# can pin them; build_model draws them from a stream in a fixed order.
-# Each only lays out the coefficients of its table's terms.
+# can pin them, and contracts its table with the coefficients that a private
+# layout puts in the table's term order; _coefficients draws the same inputs
+# from a stream in a fixed order and returns the layout.
 # ---------------------------------------------------------------------------
 
 
@@ -261,6 +274,34 @@ def _bonds(row_a, row_b, coeff=1.0) -> np.ndarray:
     return ((coeff * row_a)[..., :, None] * row_b[..., None, :]).reshape(
         row_a.shape[:-1] + (9,)
     )
+
+
+def _ising_layout(J, rotations_x, rotations_y, g) -> np.ndarray:
+    n1 = np.asarray(rotations_x, dtype=float)[:, 0]
+    n3 = np.asarray(rotations_y, dtype=float)[:, 2]
+    fields = (J * np.asarray(g, dtype=float))[:, None] * n3
+    return np.concatenate([_bonds(n1, n1), fields], axis=1).ravel()
+
+
+def _xxz_layout(B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
+    rx = np.asarray(rotations_x, dtype=float)
+    n3 = np.asarray(rotations_y, dtype=float)[:, 2]
+    jg = (J * np.asarray(g, dtype=float))[:, None]
+    bh = (B * np.asarray(h, dtype=float))[:, None]
+    bonds = [_bonds(rx[:, a], rx[:, a], jg if a == 2 else 1.0) for a in range(3)]
+    return np.concatenate(bonds + [bh * n3], axis=1).ravel()
+
+
+def _sg_layout(J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site) -> np.ndarray:
+    bonds = np.diag(h_diag) + J1 * np.asarray(h_shared) + J2 * np.asarray(h_site)
+    fields = np.asarray(g_shared) + J3 * np.asarray(g_site)
+    return np.concatenate([bonds.reshape(-1, 9), fields.reshape(-1, 3)], axis=1).ravel()
+
+
+def _cs_layout(B, J, g, h_central, h_bath) -> np.ndarray:
+    return np.concatenate([B * np.asarray(g, dtype=float),
+                           (J * np.asarray(h_central, dtype=float)).ravel(),
+                           np.asarray(h_bath, dtype=float).ravel()])
 
 
 def tfim_hamiltonian(s, J, rotation, g) -> np.ndarray:
@@ -275,11 +316,7 @@ def tfim_hamiltonian(s, J, rotation, g) -> np.ndarray:
 
 def dtfim_hamiltonian(s, J, rotations_x, rotations_y, g) -> np.ndarray:
     """Disordered twin of the Ising chain: per-site frames and fields."""
-    n1 = np.asarray(rotations_x, dtype=float)[:, 0]
-    n3 = np.asarray(rotations_y, dtype=float)[:, 2]
-    fields = (J * np.asarray(g, dtype=float))[:, None] * n3
-    sites = np.concatenate([_bonds(n1, n1), fields], axis=1)
-    return _chain_table(s, 1).matrix(sites.ravel())
+    return _chain_table(s, 1).matrix(_ising_layout(J, rotations_x, rotations_y, g))
 
 
 def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
@@ -292,43 +329,21 @@ def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
 
 def dxxz_hamiltonian(s, B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
     """Disordered twin of the XXZ chain: per-site frames, scalars g_j, h_j."""
-    rx = np.asarray(rotations_x, dtype=float)
-    n3 = np.asarray(rotations_y, dtype=float)[:, 2]
-    jg = (J * np.asarray(g, dtype=float))[:, None]
-    bh = (B * np.asarray(h, dtype=float))[:, None]
-    sites = np.concatenate(
-        [
-            _bonds(rx[:, 0], rx[:, 0]),
-            _bonds(rx[:, 1], rx[:, 1]),
-            _bonds(rx[:, 2], rx[:, 2], jg),
-            bh * n3,
-        ],
-        axis=1,
-    )
-    return _chain_table(s, 3).matrix(sites.ravel())
+    return _chain_table(s, 3).matrix(_xxz_layout(B, J, rotations_x, rotations_y, g, h))
 
 
 def sg_hamiltonian(s, J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site):
     """Spin glass: bonds (h^a delta_ab + J1 h^ab + J2 h_j^ab) sigma^a sigma^b
     plus fields (g^a + J3 g_j^a) sigma^a."""
-    bonds = np.diag(h_diag) + J1 * np.asarray(h_shared) + J2 * np.asarray(h_site)
-    fields = np.asarray(g_shared) + J3 * np.asarray(g_site)
-    sites = np.concatenate([bonds.reshape(s, 9), fields.reshape(s, 3)], axis=1)
-    return _chain_table(s, 1).matrix(sites.ravel())
+    return _chain_table(s, 1).matrix(
+        _sg_layout(J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site))
 
 
 def cs_hamiltonian(s_a, s_b, B, J, g, h_central, h_bath) -> np.ndarray:
     """Central-spin model: local z fields on the s_a central spins, random
     Heisenberg-type coupling inside the central block (strength J) and unit
     random coupling of every central spin to every bath spin."""
-    coeffs = np.concatenate(
-        [
-            B * np.asarray(g, dtype=float),
-            (J * np.asarray(h_central, dtype=float)).ravel(),
-            np.asarray(h_bath, dtype=float).ravel(),
-        ]
-    )
-    return _cs_table(s_a, s_b).matrix(coeffs)
+    return _cs_table(s_a, s_b).matrix(_cs_layout(B, J, g, h_central, h_bath))
 
 
 def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
@@ -339,11 +354,7 @@ def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
     """
     if s < 2:
         raise ValueError("need at least 4 Majorana modes (s >= 2)")
-    n_terms = comb(2 * s, 4)
-    couplings = np.asarray(couplings, dtype=float)
-    if couplings.shape != (n_terms,):
-        raise ValueError(f"expected {n_terms} couplings, got {couplings.shape}")
-    return _syk_table(s).matrix(J2 * couplings)
+    return _syk_table(s).matrix(J2 * np.asarray(couplings, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -353,8 +364,8 @@ class ModelSpec:
     ``d_a`` and ``d_b`` are the subsystem dimensions; spin families require
     both to be powers of two (s_a = log2 d_a spins belong to A).  The chain
     families and SYK need at least two spins, CS at least one central spin.
-    Couplings not named by the family are ignored; every coupling must be
-    finite.
+    Every coupling must be finite and one the family reads
+    (``COUPLINGS[family]``); any other name raises ValueError.
     """
 
     family: str
@@ -382,6 +393,11 @@ class ModelSpec:
         for name, value in self.couplings.items():
             if not isfinite(float(value)):
                 raise ValueError(f"coupling {name} must be finite, got {value}")
+        stray = [name for name in self.couplings if name not in COUPLINGS[self.family]]
+        if stray:
+            reads = ", ".join(COUPLINGS[self.family]) or "none"
+            raise ValueError(f"{self.family} does not read coupling {', '.join(stray)}"
+                             f" (its couplings: {reads})")
 
     @property
     def d(self) -> int:
@@ -403,72 +419,59 @@ class ModelSpec:
         return float(self.couplings.get(name, default))
 
 
+# The couplings each family reads, by ModelSpec name; each defaults to 1.
+COUPLINGS = {
+    "TFIM": ("J",), "DTFIM": ("J",), "XXZ": ("J", "B"), "DXXZ": ("J", "B"),
+    "SG": ("J1", "J2", "J3"), "CS": ("B", "J"), "SYK": ("J2",), "GUE": (), "POISSON": (),
+}
+
+
+def _coefficients(spec: ModelSpec, gen) -> np.ndarray:
+    # One spin sample: its coefficient vector on _table(spec).  The inputs
+    # are drawn from ``gen`` in a fixed documented order: the rotations
+    # first (one global frame for TFIM and XXZ; for DTFIM and DXXZ one per
+    # site for the bonds, then one per site for the fields), then the scalar
+    # coupling blocks in the order of the public builder's arguments.
+    fam, s, c = spec.family, spec.n_spins, spec.coupling
+    n_scalars = 1 + fam.endswith("XXZ")
+    if fam in ("TFIM", "XXZ"):
+        rx = ry = [sample_so3(gen)] * s
+        scalars = [np.full(s, gen.normal()) for _ in range(n_scalars)]
+    elif fam in ("DTFIM", "DXXZ"):
+        rx = [sample_so3(gen) for _ in range(s)]
+        ry = [sample_so3(gen) for _ in range(s)]
+        scalars = [gen.normal(size=s) for _ in range(n_scalars)]
+    if fam in ("TFIM", "DTFIM"):
+        return _ising_layout(c("J"), rx, ry, *scalars)
+    if fam in ("XXZ", "DXXZ"):
+        return _xxz_layout(c("B"), c("J"), rx, ry, *scalars)
+    if fam == "SG":
+        return _sg_layout(c("J1"), c("J2"), c("J3"), gen.normal(size=3), gen.normal(size=(3, 3)),
+                          gen.normal(size=(s, 3, 3)), gen.normal(size=3), gen.normal(size=(s, 3)))
+    if fam == "CS":
+        s_a = spec.s_a
+        return _cs_layout(c("B"), c("J"), gen.normal(size=s_a), gen.normal(size=(s_a, s_a, 3)),
+                          gen.normal(size=(s_a, spec.s_b, 3)))
+    if fam == "SYK":
+        return c("J2") * gen.normal(size=comb(2 * s, 4))
+    raise AssertionError(fam)
+
+
 def build_model(spec: ModelSpec, rng) -> np.ndarray:
     """Draw one Hamiltonian of the ensemble.
 
     Stochastic inputs are drawn from ``rng`` in a fixed documented order
     (rotations first, then scalar coupling blocks), so a given stream state
-    always produces the same Hamiltonian.
+    always produces the same Hamiltonian.  A spin sample is assembled once,
+    from its coefficient vector on the family's Pauli-string table.
     """
     gen = _as_generator(rng)
-    fam = spec.family
-    s = spec.n_spins
-    if fam == "GUE":
+    if spec.family == "GUE":
         return sample_gue(spec.d, 1.0, gen)
-    if fam == "POISSON":
+    if spec.family == "POISSON":
         energies, basis = _poisson_sampler(spec.d)(gen)
         return (basis * energies) @ basis.conj().T
-    if fam == "TFIM":
-        rot = sample_so3(gen)
-        return tfim_hamiltonian(s, spec.coupling("J"), rot, gen.normal())
-    if fam == "DTFIM":
-        rx = [sample_so3(gen) for _ in range(s)]
-        ry = [sample_so3(gen) for _ in range(s)]
-        return dtfim_hamiltonian(s, spec.coupling("J"), rx, ry, gen.normal(size=s))
-    if fam == "XXZ":
-        rot = sample_so3(gen)
-        return xxz_hamiltonian(
-            s, spec.coupling("B"), spec.coupling("J"), rot, gen.normal(), gen.normal()
-        )
-    if fam == "DXXZ":
-        rx = [sample_so3(gen) for _ in range(s)]
-        ry = [sample_so3(gen) for _ in range(s)]
-        return dxxz_hamiltonian(
-            s,
-            spec.coupling("B"),
-            spec.coupling("J"),
-            rx,
-            ry,
-            gen.normal(size=s),
-            gen.normal(size=s),
-        )
-    if fam == "SG":
-        return sg_hamiltonian(
-            s,
-            spec.coupling("J1"),
-            spec.coupling("J2"),
-            spec.coupling("J3"),
-            gen.normal(size=3),
-            gen.normal(size=(3, 3)),
-            gen.normal(size=(s, 3, 3)),
-            gen.normal(size=3),
-            gen.normal(size=(s, 3)),
-        )
-    if fam == "CS":
-        s_a, s_b = spec.s_a, spec.s_b
-        return cs_hamiltonian(
-            s_a,
-            s_b,
-            spec.coupling("B"),
-            spec.coupling("J"),
-            gen.normal(size=s_a),
-            gen.normal(size=(s_a, s_a, 3)),
-            gen.normal(size=(s_a, s_b, 3)) if s_b else np.zeros((s_a, 0, 3)),
-        )
-    if fam == "SYK":
-        n_terms = comb(2 * s, 4)
-        return syk_hamiltonian(s, spec.coupling("J2"), gen.normal(size=n_terms))
-    raise AssertionError(fam)
+    return _table(spec).matrix(_coefficients(spec, gen))
 
 
 def make_sampler(spec: ModelSpec):
@@ -520,11 +523,11 @@ def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
     # Sampler for mc_average, read per stream and finished per block.  It
     # gives a sample's (energies, basis) where that costs less than a dense
     # eigh, else the dense H.  GUE reads its 2 d^2 normals and assembles the
-    # block's H; POISSON hands over its draw.  The spin families read
-    # build_model.  A table that conserves parity has a zero even-odd
-    # block, so the block's samples are diagonalised as their parity blocks
-    # (one stacked eigh) and the block eigenvectors are scattered into the
-    # full bases.
+    # block's H; POISSON hands over its draw.  A spin family reads its
+    # coefficient vector and assembles each H from the table.  A table that
+    # conserves parity has a zero even-odd block, so the block's samples are
+    # diagonalised as their parity blocks (one stacked eigh) and the block
+    # eigenvectors are scattered into the full bases.
     d = spec.d
     if spec.family == "GUE":
         def finish(rows, reads):
@@ -534,24 +537,24 @@ def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
         return _BlockSampler(2 * d * d, lambda gen, row: gen.standard_normal(out=row), finish)
     if spec.family == "POISSON":
         return _poisson_sampler(d)
-    sectors = _sectors(spec)
+    table, sectors = _table(spec), _sectors(spec)
 
     def read(gen, row):
-        return build_model(spec, gen)
+        row[:] = _coefficients(spec, gen)
 
     if sectors is None:
-        return _BlockSampler(0, read, lambda rows, reads: (None, np.stack(reads),
-                                                           np.zeros(len(reads), dtype=bool)))
+        return _BlockSampler(table.z.size, read, lambda rows, reads: (
+            None, np.stack([table.matrix(c) for c in rows]), np.zeros(len(rows), dtype=bool)))
     cols = np.arange(d).reshape(2, 1, d // 2)
 
     def finish(rows, reads):
-        blocks = np.stack([_sector_blocks(h, sectors) for h in reads])
+        blocks = np.stack([_sector_blocks(table.matrix(c), sectors) for c in rows])
         energies, vectors = np.linalg.eigh(blocks)
-        basis = np.zeros((len(reads), d, d), dtype=complex)
+        basis = np.zeros((len(rows), d, d), dtype=complex)
         basis[:, sectors[:, :, None], cols] = vectors
-        return energies.reshape(-1, d), basis, np.ones(len(reads), dtype=bool)
+        return energies.reshape(-1, d), basis, np.ones(len(rows), dtype=bool)
 
-    return _BlockSampler(0, read, finish)
+    return _BlockSampler(table.z.size, read, finish)
 
 
 def _poisson_sampler(d: int) -> _BlockSampler:
@@ -696,9 +699,10 @@ def ensemble_dynamics(
 
     Spin-model families are first rescaled by one ensemble-global energy
     factor, estimated from a pilot pass over the same per-sample streams so
-    that pooled <(E_i - E_j)^2> = 2(d+1); the pilot takes Tr H and Tr H^2
-    of each sample and diagonalises nothing.  The Gaussian and Poisson
-    baselines are calibrated analytically and skip the pilot pass.  The
+    that pooled <(E_i - E_j)^2> = 2(d+1); the pilot reads each sample's
+    coefficient vector and takes Tr H and Tr H^2 from it, building no H, so
+    each sample is assembled once, in the Monte Carlo.  The Gaussian and
+    Poisson baselines are calibrated analytically and skip the pilot.  The
     pilot and the Monte Carlo run on up to ``threads`` worker threads under
     one OpenBLAS thread, as :func:`guedyn.sim.mc_average` documents.  The
     Monte Carlo hands a POISSON sample over as its drawn levels and Haar
@@ -708,9 +712,10 @@ def ensemble_dynamics(
     times = np.asarray(times, dtype=float)
     scale = 1.0
     if spec.family in SPIN_FAMILIES:
+        table = _table(spec)
+
         def moments(streams):
-            hs = (build_model(spec, gen) for gen in _restarted(streams))  # one at a time
-            return [(np.trace(h).real, np.vdot(h, h).real) for h in hs]
+            return [table.moments(_coefficients(spec, gen)) for gen in _restarted(streams)]
 
         tot, sq = np.array(_run_blocks(moments, n_samples, rng, stream_offset, threads)).T
         scale = _moment_scale(spec.d, tot, sq)

@@ -232,6 +232,18 @@ class TestMonteCarlo:
         assert not os.path.exists(out + ".manifest.json")
 
 
+    def test_coupling_the_family_does_not_read_is_argument_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # GUE is drawn at lambda = 1 and reads no coupling; --J used to be
+        # dropped without a word
+        monkeypatch.setattr(models, "ensemble_dynamics", _not_computed)
+        out = str(tmp_path / "x.csv")
+        assert main(["montecarlo", "--model", "GUE", "--J", "2", "--samples", "2",
+                     "--out", out]) == 2
+        assert "GUE does not read coupling J (its couplings: none)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 class TestGaps:
     def test_histogram_weights_sum_to_one(self, tmp_path):
         out = str(tmp_path / "gaps.csv")
@@ -274,6 +286,14 @@ class TestGaps:
         assert not os.path.exists(out)
 
 
+    def test_coupling_the_family_does_not_read_is_argument_error(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert main(["gaps", "--model", "SYK", "--dA", "2", "--dB", "4", "--J", "2",
+                     "--samples", "2", "--out", out]) == 2
+        assert "SYK does not read coupling J (its couplings: J2)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 class TestDistance:
     def test_ratios_normalized(self, tmp_path):
         out = str(tmp_path / "dist.csv")
@@ -310,6 +330,29 @@ class TestDistance:
     def test_unknown_model(self, tmp_path):
         assert main(["distance", "--models", "NOPE", "--samples", "2",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_coupling_no_family_reads_is_argument_error(self, tmp_path, capsys, monkeypatch):
+        for name in ("analytic_gue_trace", "analytic_poisson_trace", "ensemble_dynamics"):
+            monkeypatch.setattr(models, name, _not_computed)
+        out = str(tmp_path / "x.csv")
+        assert main(["distance", "--models", "XXZ", "SYK", "--dA", "2", "--dB", "4",
+                     "--J1", "0.5", "--J", "2", "--samples", "2", "--out", out]) == 2
+        assert "no family of --models XXZ SYK reads --J1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_each_family_gets_the_couplings_it_reads(self, tmp_path, monkeypatch):
+        seen = {}
+        real = models.ensemble_dynamics
+
+        def recording(spec, *args, **kwargs):
+            seen[spec.family] = spec.couplings
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(models, "ensemble_dynamics", recording)
+        assert main(["distance", "--models", "XXZ", "SYK", "--dA", "2", "--dB", "4",
+                     "--J2", "0.5", "--J", "2", "--samples", "2", "--dt", "0.5",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert seen == {"GUE": {}, "POISSON": {}, "XXZ": {"J": 2.0}, "SYK": {"J2": 0.5}}
 
 
 class TestSelfcheck:

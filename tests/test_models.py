@@ -9,6 +9,8 @@ import pytest
 
 from guedyn.errors import NumericalError
 from guedyn.models import (
+    COUPLINGS,
+    FAMILIES,
     DynamicsTrace,
     ModelSpec,
     SPIN_FAMILIES,
@@ -120,11 +122,29 @@ class TestBuilders:
         assert np.max(np.abs(h - h.conj().T)) <= 1e-10
         assert np.all(np.linalg.eigvalsh(h) > -1e-10)  # exponential levels
 
-    def test_gue_ignores_lambda_coupling(self):
-        # GUE is drawn at lambda = 1, the scale of its analytic baseline
-        plain = build_model(ModelSpec("GUE", 2, 2), RngStream(42, 0))
-        coupled = build_model(ModelSpec("GUE", 2, 2, {"lambda": 4.0}), RngStream(42, 0))
-        assert np.array_equal(plain, coupled)
+    def test_gue_rejects_lambda_coupling(self):
+        # GUE is drawn at lambda = 1, the scale of its analytic baseline, and
+        # reads no coupling
+        with pytest.raises(ValueError,
+                           match=r"GUE does not read coupling lambda \(its couplings: none\)"):
+            ModelSpec("GUE", 2, 2, {"lambda": 4.0})
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_unknown_coupling_rejected(self, family):
+        # a misspelt name used to run at the default coupling without a word
+        reads = ", ".join(COUPLINGS[family]) or "none"
+        with pytest.raises(ValueError,
+                           match=rf"{family} does not read coupling j \(its couplings: {reads}\)"):
+            ModelSpec(family, 2, 4, {"j": 2.0})
+        ModelSpec(family, 2, 4, {name: 0.5 for name in COUPLINGS[family]})
+
+    def test_couplings_are_the_ones_read(self):
+        # each family's draw changes with every coupling it lists
+        for family in SPIN_FAMILIES:
+            plain = build_model(ModelSpec(family, 2, 4), RngStream(42, 2))
+            for name in COUPLINGS[family]:
+                moved = build_model(ModelSpec(family, 2, 4, {name: 0.5}), RngStream(42, 2))
+                assert not np.array_equal(plain, moved), (family, name)
 
     @pytest.mark.parametrize("family", ["GUE", "POISSON", *SPIN_FAMILIES])
     def test_bad_rng_is_type_error(self, family):
@@ -438,6 +458,40 @@ class TestPilotPass:
         want = rescale_energies(spectra)
         assert abs(result.energy_scale - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("family", SPIN_FAMILIES)
+    @pytest.mark.parametrize("s_a,s_b", [(1, 1), (1, 2), (2, 2)])
+    def test_moments_are_the_traces(self, family, s_a, s_b):
+        # Tr H and Tr H^2 from the merged coefficients; CS's central block
+        # holds the identity strings sigma^a_j sigma^a_j, which merge into one
+        from guedyn import models
+
+        spec = ModelSpec(family, 1 << s_a, 1 << s_b)
+        table = models._table(spec)
+        for i in range(3):
+            coeffs = models._coefficients(spec, RngStream(63, i).generator())
+            h = table.matrix(coeffs)
+            want = (np.trace(h).real, np.vdot(h, h).real)
+            got = table.moments(coeffs)
+            scale = np.sqrt(want[1] * spec.d)  # bounds |Tr H|
+            assert abs(got[0] - want[0]) <= 1e-13 * scale
+            assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+
+    @pytest.mark.parametrize("family", ["XXZ", "SYK"])
+    def test_each_sample_assembled_once(self, monkeypatch, family):
+        # the pilot builds no H; the Monte Carlo builds each sample's H once
+        from guedyn import models
+
+        calls = []
+        real = models._PauliTable.matrix
+
+        def counting(table, coeffs):
+            calls.append(None)
+            return real(table, coeffs)
+
+        monkeypatch.setattr(models._PauliTable, "matrix", counting)
+        ensemble_dynamics(ModelSpec(family, 2, 4), self.times, 5, RngStream(64), threads=2)
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("family", ["SYK", "XXZ"])
     def test_thread_count_invariance(self, family):
         spec = ModelSpec(family, 2, 4)
@@ -453,10 +507,10 @@ class TestPilotPass:
                                               message):
         from guedyn import models
 
-        def no_build(spec, rng):
+        def no_draw(spec, gen):
             raise AssertionError("the pilot pass ran")
 
-        monkeypatch.setattr(models, "build_model", no_build)
+        monkeypatch.setattr(models, "_coefficients", no_draw)
         with pytest.raises(ValueError, match=message):
             ensemble_dynamics(ModelSpec("XXZ", 2, 4), self.times, n_samples,
                               RngStream(62), threads=threads)
@@ -465,10 +519,10 @@ class TestPilotPass:
     def test_stream_id_rejected_before_any_draw(self, monkeypatch, family):
         from guedyn import models
 
-        def no_build(spec, rng):
+        def no_draw(spec, gen):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(models, "build_model", no_build)
+        monkeypatch.setattr(models, "_coefficients", no_draw)
         with pytest.raises(ValueError, match="pass stream_offset"):
             ensemble_dynamics(ModelSpec(family, 2, 4), self.times, 4, RngStream(62, 1))
 

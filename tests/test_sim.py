@@ -590,18 +590,18 @@ class TestBlasPin:
 
         seen = []
         spec = models.ModelSpec("SYK", 2, 4)
-        real = models.build_model
+        real = models._coefficients
 
-        def recording(spec_, rng):
+        def recording(spec_, gen):
             seen.append(blas())
-            return real(spec_, rng)
+            return real(spec_, gen)
 
-        models.build_model = recording
+        models._coefficients = recording
         try:
             models.ensemble_dynamics(spec, [0.0, 0.5], 2, RngStream(47))
         finally:
-            models.build_model = real
-        assert seen and set(seen) == {1}  # pilot and Monte Carlo draws
+            models._coefficients = real
+        assert len(seen) == 4 and set(seen) == {1}  # pilot and Monte Carlo draws
         assert blas() == 2
 
 
