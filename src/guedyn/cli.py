@@ -213,8 +213,10 @@ def run_gaps(cfg):
     spec = _model_spec(cfg)
 
     def spectra(streams):
-        return [levels for gen in _restarted(streams) for levels in
-                models.level_spectra(spec, models.build_model(spec, gen))]
+        # an overflowing coupling gives an inf H, which level_spectra rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [levels for gen in _restarted(streams) for levels in
+                    models.level_spectra(spec, models.build_model(spec, gen))]
 
     stats = gap_statistics(_run_blocks(spectra, cfg["samples"], RngStream(cfg["seed"])))
     counts, edges = np.histogram(stats.gaps, bins=cfg["bins"])

@@ -39,6 +39,7 @@ from .sim import (
     RngStream,
     _as_generator,
     _BlockSampler,
+    _checked_times,
     _haar_unitaries,
     _hermitian,
     _restarted,
@@ -532,7 +533,8 @@ def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
     if spec.family == "GUE":
         def finish(rows, reads):
             parts = rows.reshape(len(rows), 2, d, d)
-            return None, _hermitian(parts[:, 0], parts[:, 1]), np.zeros(len(rows), dtype=bool)
+            return (np.empty((len(rows), d)), _hermitian(parts[:, 0], parts[:, 1]),
+                    np.zeros(len(rows), dtype=bool))
 
         return _BlockSampler(2 * d * d, lambda gen, row: gen.standard_normal(out=row), finish)
     if spec.family == "POISSON":
@@ -544,7 +546,8 @@ def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
 
     if sectors is None:
         return _BlockSampler(table.z.size, read, lambda rows, reads: (
-            None, np.stack([table.matrix(c) for c in rows]), np.zeros(len(rows), dtype=bool)))
+            np.empty((len(rows), d)), np.stack([table.matrix(c) for c in rows]),
+            np.zeros(len(rows), dtype=bool)))
     cols = np.arange(d).reshape(2, 1, d // 2)
 
     def finish(rows, reads):
@@ -587,9 +590,11 @@ def level_spectra(spec: ModelSpec, H) -> list[np.ndarray]:
     N mod 8: for 0 both sectors count; for 2 and 6 the two sectors carry the
     same levels, and one is kept; for 4 every level of a sector is a
     Kramers pair, and one level of each pair is kept.  A degeneracy that
-    does not hold to roundoff raises NumericalError.  Other families give
-    their whole spectrum.
+    does not hold to roundoff raises NumericalError, as does a non-finite
+    H.  Other families give their whole spectrum.
     """
+    if not np.isfinite(H).all():
+        raise NumericalError("non-finite Hamiltonian in the level spectra")
     sectors = _sectors(spec)
     if sectors is None:
         return [np.linalg.eigvalsh(H)]
@@ -707,9 +712,10 @@ def ensemble_dynamics(
     one OpenBLAS thread, as :func:`guedyn.sim.mc_average` documents.  The
     Monte Carlo hands a POISSON sample over as its drawn levels and Haar
     basis, and diagonalises an SYK or CS sample per parity sector; the other
-    families' samples are diagonalised whole.
+    families' samples are diagonalised whole.  ``times`` is checked as
+    :func:`guedyn.sim.mc_average` checks it, before the pilot.
     """
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times)
     scale = 1.0
     if spec.family in SPIN_FAMILIES:
         table = _table(spec)

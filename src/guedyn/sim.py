@@ -13,17 +13,19 @@ afterwards), because the LAPACK rounding depends on its thread count; the
 output then depends on the inputs alone, not on ``OPENBLAS_NUM_THREADS``.
 Where that library is not found the thread count is left as it is.
 
-A sample is a dense Hamiltonian H or its eigendecomposition (energies,
-basis).  Time evolution is one spectral step, psi(t) = V e^{-iEt} V^dag
-psi0, from the eigendecomposition: :func:`evolve` takes it from ``eigh``
-of H, and the block kernel from one batched ``eigh`` of the block's dense
-samples or from the sampler itself.
+A sampler returns a dense Hamiltonian H or its eigendecomposition
+(energies, basis).  The block kernel turns every dense sample into that
+pair, by one batched ``eigh`` of the block's dense samples, before any
+transform; the scramble and the frame of the initial state then act on the
+basis alone.  Time evolution is one spectral step, psi(t) = V e^{-iEt}
+V^dag psi0, from the pair: :func:`evolve` takes it from ``eigh`` of H.
 
 The block kernel's loop over samples only reads each sample's stream; what
-is built from the draws (H, the Haar QR, the normalised states, the
-completion unitary and the frame rotation) runs once per block on stacks,
-with the arithmetic of one sample at a time, hence its bytes.  The public
-single-sample functions are the one-sample case of the same helpers.
+is built from the draws (H, its ``eigh``, the Haar QR, the normalised
+states, the completion unitary and the frame rotation) runs once per block
+on stacks, with the arithmetic of one sample at a time, hence its bytes.
+The public single-sample functions are the one-sample case of the same
+helpers.
 """
 
 from __future__ import annotations
@@ -184,17 +186,29 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
 
     ``H`` is (..., d, d) and ``psi0`` is (..., d) with the same leading
     batch axes; each Hamiltonian evolves its own state.  ``times`` may be a
-    scalar or a 1d array; each eigendecomposition is done once and reused
-    for every requested time.  Returns (..., d) for a scalar time, else
-    (..., len(times), d).
+    finite scalar or a non-empty, finite 1d array; each eigendecomposition
+    is done once and reused for every requested time.  Returns (..., d) for
+    a scalar time, else (..., len(times), d).
     """
     H = np.asarray(H)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim < 1 or H.shape != psi0.shape + psi0.shape[-1:]:
         raise ValueError("dimension mismatch between H and psi0")
+    ts = _checked_times(np.atleast_1d(times))
     energies, basis = np.linalg.eigh(H)
-    out = _spectral_step(energies, basis, psi0, np.atleast_1d(np.asarray(times, dtype=float)))
+    out = _spectral_step(energies, basis, psi0, ts)
     return out[..., 0, :] if np.ndim(times) == 0 else out
+
+
+def _checked_times(times) -> np.ndarray:
+    # ``times`` as a float array, which must be 1d, non-empty and finite: a
+    # NaN or inf time would give NaN states without a word
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError(f"times must be a non-empty 1d grid, got shape {ts.shape}")
+    if not np.isfinite(ts).all():
+        raise ValueError("times must be finite")
+    return ts
 
 
 def _spectral_step(energies, basis, psi0, ts):
@@ -287,15 +301,13 @@ def completion_unitary(psi: np.ndarray) -> np.ndarray:
 class MCResult:
     """Per-time-point ensemble means and standard errors.
 
-    ``stages`` holds the CPU seconds spent drawing samples (``draw``: the
-    per-sample stream reads plus the block's transforms of them, that is
-    the sampler's finish, the scramble, the initial states and the frame
-    rotation), in evolution, partial trace and purity (``evolve``) and in
-    the reduction (``reduce``), each summed over the threads that did the
-    work; time a worker spends waiting for the interpreter lock is not
-    counted.  The ``eigh`` of a dense sample counts under ``evolve``; a
-    diagonalisation done by the sampler itself, to return (energies,
-    basis), counts under ``draw``.
+    ``stages`` holds the CPU seconds spent drawing samples until every
+    sample is an (energies, basis) pair (``draw``: the per-sample stream
+    reads, the sampler's finish and the ``eigh`` of the dense samples), in
+    the scramble, the frame rotation, evolution, partial trace and purity
+    (``evolve``) and in the reduction (``reduce``), each summed over the
+    threads that did the work; time a worker spends waiting for the
+    interpreter lock is not counted.
     """
 
     times: np.ndarray
@@ -379,9 +391,9 @@ class _BlockSampler:
     (``width`` floats) or as its return value.  ``finish(rows, reads)`` turns
     a block's (n, width) rows and list of reads into its samples
     ``(energies, mats, paired)``: mats[k] is the (d, d) basis of a pair
-    (paired[k]) with energies[k], else a dense H; ``energies`` is None when
-    no sample is a pair.  Called with a generator it draws one sample, as a
-    plain sampler does.
+    (paired[k]) with energies[k], else a dense H, whose row of ``energies``
+    is left unset.  Called with a generator it draws one sample, as a plain
+    sampler does.
     """
 
     __slots__ = ("width", "read", "finish")
@@ -442,9 +454,7 @@ def _restarted(streams):
 
 
 def _check_finite(energies, mats, paired, streams) -> None:
-    bad = ~np.isfinite(mats).all(axis=(-2, -1))
-    if energies is not None:
-        bad |= paired & ~np.isfinite(energies).all(axis=-1)
+    bad = ~np.isfinite(mats).all(axis=(-2, -1)) | (paired & ~np.isfinite(energies).all(axis=-1))
     if bad.any():
         k = int(np.argmax(bad))
         what = "energies or basis" if paired[k] else "Hamiltonian"
@@ -458,32 +468,19 @@ def _left(m, ud):
     return (ud @ m.reshape(m.shape[:-2] + (ud.shape[-1], -1))).reshape(m.shape)
 
 
-def _each_kind(paired, mats, u, pair_op, dense_op):
-    # pair_op(V, u) on the bases of the pairs and dense_op(H, u) on the
-    # dense samples, each kind as one stack
-    if paired.all():
-        return pair_op(mats, u)
-    if not paired.any():
-        return dense_op(mats, u)
-    out = np.empty_like(mats)
-    for kind, op in ((paired, pair_op), (~paired, dense_op)):
-        out[kind] = op(mats[kind], u[kind])
-    return out
-
-
 def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scale):
     # One block of consecutive samples.  Each sample reads its own stream,
     # in the order H (the sampler's read), scramble unitary, psi_A, psi_B;
     # everything built from those draws then runs once on the block's
-    # stacks.  A sample is a dense H or its eigendecomposition (energies,
-    # basis V).  The scramble u turns H into u H u^dag, or V into u V.  With
-    # a random product state, the sample is rotated into the frame of the
-    # completion unitary U_A of psi_A (H into (U_A^dag x I) H (U_A x I), by
-    # two left products with U_A^dag, V into (U_A^dag x I) V) and evolved
-    # from e1 x psi_B, which gives U_A^dag rho_A U_A directly.  The dense
-    # samples are diagonalised by one eigh, then one spectral step evolves
-    # the block.  Returns the (B, n) real samples (rho_A as real and
-    # imaginary parts, then the purities) and the draw and evolve seconds.
+    # stacks.  The block's dense samples are diagonalised first, by one
+    # eigh, so every sample is an eigendecomposition (energies, basis V)
+    # before any transform, and the transforms act on V alone: the scramble
+    # u turns V into u V.  With a random product state, V is rotated into
+    # the frame of the completion unitary U_A of psi_A, (U_A^dag x I) V, and
+    # evolved from e1 x psi_B, which gives U_A^dag rho_A U_A directly.  One
+    # spectral step then evolves the block.  Returns the (B, n) real samples
+    # (rho_A as real and imaginary parts, then the purities) and the draw
+    # and evolve seconds.
     start = time.thread_time()
     d = d_A * d_B
     n = len(streams)
@@ -498,28 +495,23 @@ def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scal
         gen.standard_normal(out=normals[k])
     energies, mats, paired = sampler.finish(rows, reads)
     _check_finite(energies, mats, paired, streams)
+    dense = ~paired
+    if dense.any():
+        # a block of dense samples alone is diagonalised without a gathered
+        # copy, which at d = 256 cost 0.8 ms a sample in fresh pages
+        energies[dense], mats[dense] = np.linalg.eigh(mats if dense.all() else mats[dense])
+    drawn = time.thread_time()
     if scramble:
-        u = _haar_unitaries(normals[:, : 2 * d * d], d)
-        mats = _each_kind(paired, mats, u, lambda v, u: u @ v,
-                          lambda h, u: u @ h @ u.conj().swapaxes(-1, -2))
+        mats = _haar_unitaries(normals[:, : 2 * d * d], d) @ mats
         normals = normals[:, 2 * d * d :]
     psi0 = np.zeros((n, d), dtype=complex)
     if haar:
         u_a = completion_unitary(_haar_states(normals[:, : 2 * d_A], d_A))
-        ud = u_a.conj().swapaxes(-1, -2)
         psi0[:, :d_B] = _haar_states(normals[:, 2 * d_A :], d_B)
-        # K = (U^dag x I) H, then (U^dag x I) K^dag, the rotated H as H is
-        # Hermitian
-        mats = _each_kind(paired, mats, ud, _left, lambda h, ud: _left(
-            np.conjugate(_left(h, ud).swapaxes(-1, -2), order="C"), ud))
+        mats = _left(mats, u_a.conj().swapaxes(-1, -2))
     else:
         psi0[:, 0] = 1.0
-    drawn = time.thread_time()
-    if not paired.any():
-        energies, mats = np.linalg.eigh(mats)
-    elif not paired.all():
-        energies[~paired], mats[~paired] = np.linalg.eigh(mats[~paired])
-    rho = partial_trace(_spectral_step(energies, mats, psi0, scale * times.ravel()), d_A, d_B)
+    rho = partial_trace(_spectral_step(energies, mats, psi0, scale * times), d_A, d_B)
     x = np.concatenate((rho.reshape(n, -1).view(float), purity(rho)), axis=1)
     return x, drawn - start, time.thread_time() - drawn
 
@@ -568,8 +560,10 @@ def mc_average(
     returns either a (d, d) Hermitian array H or a tuple ``(energies,
     basis)``: d real energies and a (d, d) unitary whose columns are the
     matching eigenvectors, H = basis diag(energies) basis^dag.  A dense H is
-    diagonalised here; a pair is used as it is, which saves that ``eigh``
-    where the sampler knows the eigendecomposition.  Sample i uses the
+    diagonalised here, first of all, so that every sample is such a pair
+    before its scramble and frame rotation act on the basis; a pair is used
+    as it is, which saves that ``eigh`` where the sampler knows the
+    eigendecomposition.  Sample i uses the
     stream ``(rng.master_seed, stream_offset + i)``, and ``rng.stream_id``
     must be 0.  With the default random product initial state, rho_A is
     reported in the rotated basis whose first vector is the sampled |1_A>,
@@ -577,13 +571,14 @@ def mc_average(
     keeps the computational basis.
     ``threads`` must be >= 1; each worker thread takes whole blocks of
     consecutive samples, and OpenBLAS runs one thread throughout.  A sample
-    with a non-finite H, energy or basis raises NumericalError.
+    with a non-finite H, energy or basis raises NumericalError; ``times``
+    must be a non-empty, finite 1d grid (else ValueError, before any draw).
     """
     if initial_state not in ("haar", "e1"):
         raise ValueError(f"unknown initial_state: {initial_state!r}")
+    times = _checked_times(times)
     if not isinstance(sampler, _BlockSampler):
         sampler = _plain_sampler(sampler, d_A * d_B)
-    times = np.asarray(times, dtype=float)
     step = max(1, _BLOCK_ENTRIES // (d_A * d_B * times.size))
 
     def job(block):

@@ -285,6 +285,15 @@ class TestGaps:
         assert "parity sectors" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coupling_exits_3(self, tmp_path, capsys):
+        # J = 1e308 assembles an inf H, which used to print overflow
+        # warnings and exit 2 when eigvalsh did not converge
+        out = str(tmp_path / "tfim.csv")
+        assert main(["gaps", "--model", "TFIM", "--dA", "2", "--dB", "4", "--J", "1e308",
+                     "--out", out]) == 3
+        assert "non-finite Hamiltonian" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_coupling_the_family_does_not_read_is_argument_error(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")

@@ -593,8 +593,9 @@ class TestParitySectors:
         assert np.max(np.abs(got.purity_mean - want.purity_mean)) <= 1e-13
 
     def test_dense_families_keep_their_bytes(self):
-        # Written by the dense-H kernel (every sample diagonalised by eigh)
-        # before samples could carry their eigendecomposition.  The bytes
+        # Written by the kernel that diagonalises a block's dense samples
+        # first, by one batched eigh, and then scrambles and rotates their
+        # bases alone, as it does for (energies, basis) samples.  The bytes
         # depend on the LAPACK build, so they are compared exactly only under
         # the numpy and OpenBLAS build that wrote them, else to 1e-13.
         import os
@@ -703,6 +704,29 @@ class TestLevelSpectra:
         h[np.ix_(even, even)], h[np.ix_(odd, odd)] = blocks
         with pytest.raises(NumericalError):
             models.level_spectra(spec, h)
+
+    @pytest.mark.parametrize("family", ["TFIM", "SYK"])
+    def test_non_finite_h_raises(self, family):
+        # an inf entry used to reach eigvalsh, which failed to converge
+        from guedyn import models
+
+        spec = ModelSpec(family, 2, 4)
+        h = build_model(spec, RngStream(94, 0))
+        h[0, 0] = np.inf
+        with pytest.raises(NumericalError, match="non-finite Hamiltonian"):
+            models.level_spectra(spec, h)
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("times", [[], [[0.0, 1.0]], [0.0, np.nan], [np.inf]])
+    def test_rejected_before_the_pilot(self, monkeypatch, times):
+        from guedyn import models
+
+        calls = []
+        monkeypatch.setattr(models, "_coefficients", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="times must be"):
+            ensemble_dynamics(ModelSpec("XXZ", 2, 4), times, 4, RngStream(0))
+        assert calls == []
 
 
 class TestRescaleOverflow:

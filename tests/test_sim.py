@@ -140,6 +140,12 @@ class TestEvolution:
         with pytest.raises(ValueError):
             evolve(np.zeros((3, 3)), np.zeros(4), 1.0)
 
+    @pytest.mark.parametrize("times", [np.nan, np.inf, [0.0, -np.inf]])
+    def test_non_finite_time_rejected(self, times):
+        # a NaN or inf time used to give NaN states without a word
+        with pytest.raises(ValueError, match="finite"):
+            evolve(np.eye(2), np.array([1.0, 0.0]), times)
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -302,6 +308,22 @@ class TestMcAverage:
         with pytest.raises(ValueError):
             mc_average(self.gue_sampler, 3, 2, self.times, 1, RngStream(0))
 
+    @pytest.mark.parametrize("times, match", [
+        ([], "non-empty 1d"),  # used to raise ZeroDivisionError
+        (np.zeros((3, 2)), "non-empty 1d"),  # used to be flattened
+        ([0.0, np.nan], "finite"),  # used to give NaN means
+        ([0.0, np.inf], "finite"),
+    ])
+    def test_bad_time_grid_rejected_before_any_draw(self, times, match):
+        calls = []
+
+        def sampler(gen):
+            calls.append(None)
+            return self.gue_sampler(gen)
+
+        with pytest.raises(ValueError, match=match):
+            mc_average(sampler, 2, 2, times, 4, RngStream(0))
+        assert calls == []
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_below_one_rejected(self, threads):
@@ -671,6 +693,21 @@ class TestSpectralSamples:
         b = mc_average(dense, 2, 4, self.times, 9, RngStream(80), **kw)
         assert np.max(np.abs(a.rho_mean - b.rho_mean)) <= 1e-13
         assert np.max(np.abs(a.purity_mean - b.purity_mean)) <= 1e-13
+
+    @pytest.mark.parametrize("initial_state", ["haar", "e1"])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_dense_h_is_its_eigh_pair(self, initial_state, scramble):
+        # a dense sample is diagonalised before its transforms, so handing
+        # over np.linalg.eigh of the same H gives the same bytes
+        def dense(gen):
+            return sample_gue(8, 1.0, gen)
+
+        kw = dict(initial_state=initial_state, scramble=scramble)
+        a = mc_average(dense, 2, 4, self.times, 9, RngStream(84), **kw)
+        b = mc_average(lambda gen: np.linalg.eigh(dense(gen)), 2, 4, self.times, 9,
+                       RngStream(84), **kw)
+        for x, y in zip(_fields(a), _fields(b)):
+            assert np.array_equal(x, y)
 
     def test_pairs_and_dense_in_one_block(self, monkeypatch):
         # every other sample dense: each keeps its own arithmetic
