@@ -214,9 +214,8 @@ def run_gaps(cfg):
 
     def spectra(streams):
         # an overflowing coupling gives an inf H, which level_spectra rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [levels for gen in _restarted(streams) for levels in
-                    models.level_spectra(spec, models.build_model(spec, gen))]
+        return [levels for gen in _restarted(streams) for levels in
+                models.level_spectra(spec, models.build_model(spec, gen))]
 
     stats = gap_statistics(_run_blocks(spectra, cfg["samples"], RngStream(cfg["seed"])))
     counts, edges = np.histogram(stats.gaps, bins=cfg["bins"])

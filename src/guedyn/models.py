@@ -99,6 +99,12 @@ class PauliString:
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
+# A spin sample's draw and assembly run under this guard, on the thread that
+# does the arithmetic: an overflowing coupling leaves inf or NaN, without a
+# RuntimeWarning, for the finiteness checks of the pilot, the Monte Carlo and
+# level_spectra to raise as NumericalError.
+_OVERFLOW_TO_INF = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class _PauliTable:
@@ -139,6 +145,7 @@ class _PauliTable:
         np.add.at(w, (self.group, self.z), coeffs * self.phase)
         return w
 
+    @_OVERFLOW_TO_INF
     def moments(self, coeffs) -> tuple[float, float]:
         """(Tr H, Tr H^2) of ``matrix(coeffs)``, without building H.  The strings
         X^x Z^z are trace-orthogonal, Tr((X^x Z^z)^dag X^x' Z^z') = d delta,
@@ -147,6 +154,7 @@ class _PauliTable:
         d = w.shape[1]
         return (d * w[0, 0].real if self.xs[0] == 0 else 0.0), d * np.vdot(w, w).real
 
+    @_OVERFLOW_TO_INF
     def matrix(self, coeffs) -> np.ndarray:
         """Dense sum_t coeffs[t] * term t."""
         # A Walsh-Hadamard transform over z turns the merged coefficients
@@ -220,14 +228,14 @@ _AXES = (1, 2, 3)
 
 
 @lru_cache(maxsize=None)
-def _chain_table(s: int, n_bond_blocks: int) -> _PauliTable:
-    """Periodic chain: per site j, ``n_bond_blocks`` copies of the nine bonds
-    sigma^a_j sigma^b_{j+1} (a-major), then the three fields sigma^a_j."""
+def _chain_table(s: int) -> _PauliTable:
+    """Periodic chain: per site j, the nine bonds sigma^a_j sigma^b_{j+1}
+    (a-major), then the three fields sigma^a_j.  Every chain family's
+    coefficient vector is thus (s, 12) site rows, flattened."""
     strings = []
     for j in range(s):
         nxt = (j + 1) % s
-        bonds = [_string(s, [(j, a), (nxt, b)]) for a in _AXES for b in _AXES]
-        strings += bonds * n_bond_blocks
+        strings += [_string(s, [(j, a), (nxt, b)]) for a in _AXES for b in _AXES]
         strings += [_pauli(s, j, a) for a in _AXES]
     return _PauliTable.from_strings(s, strings)
 
@@ -289,8 +297,10 @@ def _xxz_layout(B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
     n3 = np.asarray(rotations_y, dtype=float)[:, 2]
     jg = (J * np.asarray(g, dtype=float))[:, None]
     bh = (B * np.asarray(h, dtype=float))[:, None]
-    bonds = [_bonds(rx[:, a], rx[:, a], jg if a == 2 else 1.0) for a in range(3)]
-    return np.concatenate(bonds + [bh * n3], axis=1).ravel()
+    # the three axis terms of a bond share its nine strings: their sum, in
+    # axis order from 0
+    bonds = sum(_bonds(rx[:, a], rx[:, a], jg if a == 2 else 1.0) for a in range(3))
+    return np.concatenate([bonds, bh * n3], axis=1).ravel()
 
 
 def _sg_layout(J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site) -> np.ndarray:
@@ -317,7 +327,7 @@ def tfim_hamiltonian(s, J, rotation, g) -> np.ndarray:
 
 def dtfim_hamiltonian(s, J, rotations_x, rotations_y, g) -> np.ndarray:
     """Disordered twin of the Ising chain: per-site frames and fields."""
-    return _chain_table(s, 1).matrix(_ising_layout(J, rotations_x, rotations_y, g))
+    return _chain_table(s).matrix(_ising_layout(J, rotations_x, rotations_y, g))
 
 
 def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
@@ -330,13 +340,13 @@ def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
 
 def dxxz_hamiltonian(s, B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
     """Disordered twin of the XXZ chain: per-site frames, scalars g_j, h_j."""
-    return _chain_table(s, 3).matrix(_xxz_layout(B, J, rotations_x, rotations_y, g, h))
+    return _chain_table(s).matrix(_xxz_layout(B, J, rotations_x, rotations_y, g, h))
 
 
 def sg_hamiltonian(s, J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site):
     """Spin glass: bonds (h^a delta_ab + J1 h^ab + J2 h_j^ab) sigma^a sigma^b
     plus fields (g^a + J3 g_j^a) sigma^a."""
-    return _chain_table(s, 1).matrix(
+    return _chain_table(s).matrix(
         _sg_layout(J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site))
 
 
@@ -427,6 +437,7 @@ COUPLINGS = {
 }
 
 
+@_OVERFLOW_TO_INF
 def _coefficients(spec: ModelSpec, gen) -> np.ndarray:
     # One spin sample: its coefficient vector on _table(spec).  The inputs
     # are drawn from ``gen`` in a fixed documented order: the rotations
@@ -484,10 +495,8 @@ def _table(spec: ModelSpec) -> _PauliTable | None:
     # The Pauli-string table the family's builder contracts; None for the
     # dense GUE and POISSON ensembles.
     fam, s = spec.family, spec.n_spins
-    if fam in ("TFIM", "DTFIM", "SG"):
-        return _chain_table(s, 1)
-    if fam in ("XXZ", "DXXZ"):
-        return _chain_table(s, 3)
+    if fam in _CHAIN_FAMILIES:
+        return _chain_table(s)
     if fam == "CS":
         return _cs_table(spec.s_a, spec.s_b)
     if fam == "SYK":

@@ -202,7 +202,8 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
 
 def _checked_times(times) -> np.ndarray:
     # ``times`` as a float array, which must be 1d, non-empty and finite: a
-    # NaN or inf time would give NaN states without a word
+    # NaN or inf time would give NaN states without a word.  The one check
+    # of a time grid, for the Monte Carlo and the analytic curves alike.
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError(f"times must be a non-empty 1d grid, got shape {ts.shape}")
@@ -679,7 +680,9 @@ def gap_statistics(spectra) -> GapStats:
     """Pool normalized consecutive gaps and subsequent-gap ratios.
 
     Each spectrum is sorted, its gaps normalized by their own mean; fully
-    degenerate spectra (zero mean gap) are skipped and counted.
+    degenerate spectra (zero mean gap) are skipped and counted.  A spacing
+    or mean spacing that is not finite (levels that are not finite, or so
+    large that their differences overflow) raises NumericalError.
     """
     pooled_gaps = []
     pooled_ratios = []
@@ -688,8 +691,12 @@ def gap_statistics(spectra) -> GapStats:
         energies = np.sort(np.asarray(spectrum, dtype=float))
         if energies.size < 3:
             raise ValueError("each spectrum needs at least 3 levels")
-        gaps = np.diff(energies)
-        mean_gap = gaps.mean()
+        # an overflow leaves inf or NaN, which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.diff(energies)
+            mean_gap = gaps.mean()
+        if not (np.isfinite(gaps).all() and np.isfinite(mean_gap)):
+            raise NumericalError("non-finite level spacing in the gap statistics")
         if mean_gap <= 0:
             skipped += 1
             continue

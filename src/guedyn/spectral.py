@@ -40,8 +40,11 @@ The time grid is the unit of work: each averaged quantity is one function
 of (statistics, dimensions, times) returning an array over the grid, and
 the recurrence runs once per grid chunk, batched over t.  The
 one-point functions are thin wrappers over these curves that also accept
-an array of times.
-Every public return is checked to be finite.
+an array of times.  Every function that takes times checks them on entry,
+before any work, with the Monte Carlo's own check
+(``guedyn.sim._checked_times``): a grid that is not 1-d, is empty or holds
+a non-finite time raises ValueError.  Every public return is checked to be
+finite.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import numpy as np
 
 from . import haar
 from .errors import NumericalError
+from .sim import _checked_times
 from .symgroup import Permutation
 
 __all__ = [
@@ -116,13 +120,6 @@ def _finite(values, what: str):
     if not np.isfinite(values).all():
         raise NumericalError(f"non-finite {what}")
     return values
-
-
-def _grid(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a one-dimensional grid")
-    return times
 
 
 def _chunks(d: int, n_times: int):
@@ -213,7 +210,7 @@ def f_matrix(d: int, t: float) -> np.ndarray:
     if d < 1:
         raise ValueError("d must be >= 1")
     e = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
-    f = e[:, None] * e * _h_stack(d, _grid([t]))[0]
+    f = e[:, None] * e * _h_stack(d, _checked_times([t]))[0]
     return _finite(f, f"F({t}) at d={d}")
 
 
@@ -221,7 +218,7 @@ def trace_f(d: int, t: float) -> float:
     """Tr F(t) = Tr(S H(t)) = e^{-t^2/2} L^(1)_{d-1}(t^2)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    tr = _trace_s(_h_stack(d, _grid([t])))
+    tr = _trace_s(_h_stack(d, _checked_times([t])))
     return _finite(float(tr[0]), f"Tr F({t}) at d={d}")
 
 
@@ -325,7 +322,7 @@ def correlator(coeffs, d: int, t: float) -> float:
         raise ValueError("coefficients must be nonzero integers")
     if n > d:
         raise ValueError(f"need n <= d, got n={n}, d={d}")
-    (value,) = _correlators([coeffs], d, _grid([t]))
+    (value,) = _correlators([coeffs], d, _checked_times([t]))
     return float(_finite(value, f"correlator {coeffs} at d={d}, t={t}")[0])
 
 
@@ -395,7 +392,7 @@ def chi_curve(statistics: str, d: int, times) -> np.ndarray:
     _check_statistics(statistics)
     if d < 2:
         raise ValueError("d must be >= 2")
-    return _finite(_phase_average(statistics, _CHI, d, _grid(times)), f"<chi> at d={d}")
+    return _finite(_phase_average(statistics, _CHI, d, _checked_times(times)), f"<chi> at d={d}")
 
 
 def xi_curve(statistics: str, d: int, times) -> np.ndarray:
@@ -409,7 +406,7 @@ def xi_curve(statistics: str, d: int, times) -> np.ndarray:
     _check_statistics(statistics)
     if d < 4:
         raise ValueError("d must be >= 4 (four-point correlator)")
-    return _finite(_phase_average(statistics, _XI, d, _grid(times)), f"<xi> at d={d}")
+    return _finite(_phase_average(statistics, _XI, d, _checked_times(times)), f"<xi> at d={d}")
 
 
 def rho_curve(statistics: str, d_A: int, d_B: int, times) -> tuple[np.ndarray, np.ndarray]:
@@ -434,7 +431,7 @@ def purity_curve(statistics: str, d_A: int, d_B: int, times) -> np.ndarray:
     _check_statistics(statistics)
     if d_A < 1 or d_B < 1:
         raise ValueError("dimensions must be >= 1")
-    times = _grid(times)
+    times = _checked_times(times)
     if d_A == 1 or d_B == 1:
         return np.ones(times.size)
     return haar._purity_map(d_A, d_B, xi_curve(statistics, d_A * d_B, times))
@@ -535,31 +532,16 @@ _ZOOM_POINTS = 8
 _ZOOM_NOISE = 1024
 
 
-def _scan(fn, ts: np.ndarray, arrays: bool = True) -> tuple[np.ndarray, bool]:
-    """fn over ts, checked finite, and whether fn still takes arrays.
-
-    While arrays, fn is called once with all of ts and must map the array to
-    the elementwise array; once it raises TypeError or ValueError, or
-    returns another shape, it is called once per point.
-    """
-    if arrays:
-        try:
-            values = np.asarray(fn(ts), dtype=float)
-        except (TypeError, ValueError):
-            arrays = False
-        else:
-            arrays = values.shape == ts.shape
-    if not arrays:
-        values = np.fromiter(map(fn, ts), float, ts.size)
-    return _finite(values, "curve value in find_extrema"), arrays
-
-
-def _zoom(fn, arrays: bool, centres, signs, triples, step: float, tol: float,
+def _zoom(fn, centres, signs, triples, step: float, tol: float,
           noise: float) -> tuple[np.ndarray, np.ndarray]:
     """Minima of signs * fn in the brackets centres -/+ step, whose values at
     (centre - step, centre, centre + step) are the rows of triples, refined
-    all at once; returns (positions, values of fn) as find_extrema states.
+    all at once; fn maps a 1-d array of times to one value per time.
+    Returns (positions, values of fn) as find_extrema states.
     """
+    def curve(ts):
+        return _finite(np.asarray(fn(ts), dtype=float), "curve value in find_extrema")
+
     q = _ZOOM_POINTS // 2 + 1
     cols = np.array([j for j in range(1 - q, q) if j])  # new times, in cells
     t = np.array(centres, dtype=float)  # smallest sample of each bracket
@@ -574,7 +556,7 @@ def _zoom(fn, arrays: bool, centres, signs, triples, step: float, tol: float,
         if not idx.size or 2.0 * s < tol:
             break
         s /= q
-        values, arrays = _scan(fn, (t[idx, None] + s * cols).ravel(), arrays)
+        values = curve((t[idx, None] + s * cols).ravel())
         grid = np.empty((idx.size, 2 * q + 1))
         grid[:, [0, q, 2 * q]] = g[idx]
         grid[:, cols + q] = signs[idx, None] * values.reshape(idx.size, cols.size)
@@ -582,7 +564,7 @@ def _zoom(fn, arrays: bool, centres, signs, triples, step: float, tol: float,
         t[idx] += (k - q) * s
         g[idx] = grid[np.arange(idx.size)[:, None], k[:, None] + np.arange(-1, 2)]
 
-    at_vertex = signs * _scan(fn, vertex, arrays)[0]
+    at_vertex = signs * curve(vertex)
     keep = at_vertex <= g[:, 1]
     return np.where(keep, vertex, t), signs * np.where(keep, at_vertex, g[:, 1])
 
@@ -603,15 +585,16 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     smallest sample if none did), evaluated once and kept only if its value
     is no worse than the smallest sample.  Returns [(t, value), ...].
 
-    fn is called once per pass with all of the pass's times, a 1-d float
-    array, so it must either act elementwise on an array (as the one-point
-    functions of this module do) or raise TypeError or ValueError.  The
-    passes are the dense grid, one per refinement round (8 times for each
-    open bracket) and one for the vertices, so fn is called at most R + 2
-    times, with R = 1 + floor(log_5(2 step / tol)) rounds (8 at the
-    defaults).  If fn raises, or returns anything but one value per time,
-    it is called once per time for the rest of the call, refinement
-    included.
+    The array-or-point choice is made once, on the dense grid: fn is first
+    called with the whole grid, a 1-d float array.  If it returns one value
+    per time (as the one-point functions of this module do), fn is called
+    once per pass with all of the pass's times: the dense grid, one per
+    refinement round (8 times for each open bracket) and one for the
+    vertices, so at most R + 2 times, with R = 1 + floor(log_5(2 step /
+    tol)) rounds (8 at the defaults).  If that first call raises TypeError
+    or ValueError, or returns anything but one value per time, fn is called
+    once per time for the whole search, dense grid included.  Any other
+    exception propagates.
 
     With delta the absolute error of fn's values and s the cell width of
     the last resolving triple, the position is resolved to about
@@ -627,7 +610,14 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
     if not all(math.isfinite(v) and v > 0 for v in (t_max, step, tol)):
         raise ValueError("t_max, step and tol must be finite and positive")
     ts = np.arange(0.0, t_max + 0.5 * step, step)
-    fs, arrays = _scan(fn, ts)
+    try:
+        fs = np.asarray(fn(ts), dtype=float)
+    except (TypeError, ValueError):
+        fs = None
+    if fs is None or fs.shape != ts.shape:
+        fn = np.vectorize(fn, otypes=[float])  # one time per call, in every pass
+        fs = fn(ts)
+    fs = _finite(fs, "curve value in find_extrema")
     diffs = np.diff(fs)
     scale = max(1.0, float(np.max(np.abs(fs))))
 
@@ -643,6 +633,6 @@ def find_extrema(fn, t_max: float, step: float = 1e-3, tol: float = 1e-8):
         return []
     at = np.array(brackets)
     triples = fs[at[:, None] + np.arange(3)]
-    positions, values = _zoom(fn, arrays, ts[at + 1], np.array(signs), triples,
+    positions, values = _zoom(fn, ts[at + 1], np.array(signs), triples,
                               step, tol, _ZOOM_NOISE * np.finfo(float).eps * scale)
     return [(float(t), float(v)) for t, v in zip(positions, values)]

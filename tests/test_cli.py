@@ -231,6 +231,19 @@ class TestMonteCarlo:
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".manifest.json")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model,coupling", [("SYK", "--J2"), ("CS", "--J"), ("CS", "--B")])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_coupling_exits_3(self, tmp_path, capsys, model, coupling, threads):
+        # the draw overflowed with RuntimeWarnings from the worker threads
+        # before the pilot's NumericalError
+        out = str(tmp_path / "x.csv")
+        assert main(["montecarlo", "--model", model, "--dA", "2", "--dB", "4",
+                     coupling, "1e308", "--samples", "4", "--threads", threads,
+                     "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite Tr H or Tr H^2" in err
+        assert os.listdir(tmp_path) == []
 
     def test_coupling_the_family_does_not_read_is_argument_error(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -294,6 +307,16 @@ class TestGaps:
                      "--out", out]) == 3
         assert "non-finite Hamiltonian" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spacings_exit_3(self, tmp_path, capsys):
+        # J = 1e308 at two samples gives a finite H whose level spacings sum
+        # past the float range; that used to warn and exit 2 on a NaN histogram
+        out = str(tmp_path / "tfim.csv")
+        assert main(["gaps", "--model", "TFIM", "--dA", "2", "--dB", "4", "--J", "1e308",
+                     "--samples", "2", "--out", out]) == 3
+        assert "non-finite level spacing" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_coupling_the_family_does_not_read_is_argument_error(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")

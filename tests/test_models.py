@@ -445,6 +445,53 @@ class TestTableAssembly:
                            np.ones((1, 1, 3)))
 
 
+class TestChainTable:
+    """The five chain families share one table: the nine bonds and three
+    fields of each site, so a chain coefficient vector is (s, 12) site rows."""
+
+    @pytest.mark.parametrize("family", ["TFIM", "DTFIM", "XXZ", "DXXZ", "SG"])
+    def test_twelve_terms_per_site(self, family):
+        from guedyn import models
+
+        spec = ModelSpec(family, 8, 32)
+        assert models._table(spec) is models._chain_table(8)
+        assert models._chain_table(8).z.size == 96
+        assert models._coefficients(spec, RngStream(80, 0).generator()).shape == (96,)
+
+    @pytest.mark.parametrize("family", ["XXZ", "DXXZ"])
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_folded_axis_blocks_keep_their_bytes(self, family, s):
+        # the reference lists each site's nine bonds once per frame axis, with
+        # one coefficient block per axis, and np.add.at sums the three
+        from guedyn import models
+        from guedyn.sim import sample_so3
+
+        strings = []
+        for j in range(s):
+            strings += [models._string(s, [(j, a), ((j + 1) % s, b)])
+                        for a in models._AXES for b in models._AXES] * 3
+            strings += [models._pauli(s, j, a) for a in models._AXES]
+        reference = models._PauliTable.from_strings(s, strings)
+        for couplings in ({}, {"J": 0.3, "B": -1.7}):
+            spec = ModelSpec(family, 2, 1 << (s - 1), couplings)
+            J, B = spec.coupling("J"), spec.coupling("B")
+            for i in range(3):
+                # the draws of models._coefficients, in its order
+                gen = RngStream(81, i).generator()
+                if family == "XXZ":
+                    rx = ry = np.array([sample_so3(gen)] * s)
+                    g, h = (np.full(s, gen.normal()) for _ in range(2))
+                else:
+                    rx = np.array([sample_so3(gen) for _ in range(s)])
+                    ry = np.array([sample_so3(gen) for _ in range(s)])
+                    g, h = (gen.normal(size=s) for _ in range(2))
+                blocks = [models._bonds(rx[:, a], rx[:, a], (J * g)[:, None] if a == 2 else 1.0)
+                          for a in range(3)]
+                coeffs = np.concatenate(blocks + [(B * h)[:, None] * ry[:, 2]], axis=1).ravel()
+                assert np.array_equal(build_model(spec, RngStream(81, i)),
+                                      reference.matrix(coeffs))
+
+
 class TestPilotPass:
     times = np.linspace(0.0, 6.0, 7)
 
@@ -727,6 +774,29 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="times must be"):
             ensemble_dynamics(ModelSpec("XXZ", 2, 4), times, 4, RngStream(0))
         assert calls == []
+
+
+class TestOverflowingCoupling:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, couplings", [("SYK", {"J2": 1e308}), ("CS", {"J": 1e308}),
+                                                   ("CS", {"B": 1e308})])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_numerical_error_without_warning(self, family, couplings, threads):
+        # the draw and assembly run under one guard on the worker threads, so
+        # the overflow reaches the pilot's check as inf or NaN
+        with pytest.raises(NumericalError, match="non-finite Tr H or Tr H"):
+            ensemble_dynamics(ModelSpec(family, 2, 4, couplings), [0.0, 1.0], 2, RngStream(0),
+                              threads=threads)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, couplings", [("SYK", {"J2": 1e308}), ("XXZ", {"B": 1e308}),
+                                                   ("SG", {"J1": 1e308})])
+    def test_inf_hamiltonian_reaches_the_level_check(self, family, couplings):
+        from guedyn import models
+
+        spec = ModelSpec(family, 2, 4, couplings)
+        with pytest.raises(NumericalError, match="non-finite Hamiltonian"):
+            models.level_spectra(spec, build_model(spec, RngStream(0, 0)))
 
 
 class TestRescaleOverflow:

@@ -433,6 +433,18 @@ class TestGapStatistics:
         assert abs(stats.mean_ratio_stderr - 0.1) <= 1e-12
         assert stats.ratio_counts.tolist() == [8, 8]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spectrum", [
+        [-1e308, 0.0, 1e308],  # finite spacings whose sum overflows
+        [-1e308, 1e308, 1.5e308],  # a spacing that overflows
+        [0.0, 1.0, np.inf],
+        [0.0, np.nan, 1.0],
+    ])
+    def test_non_finite_spacing_raises(self, spectrum):
+        # an overflowing mean spacing used to warn and give NaN gaps
+        with pytest.raises(NumericalError, match="non-finite level spacing"):
+            gap_statistics([np.array([0.0, 1.0, 3.0]), spectrum])
+
     def test_single_sequence_stderr_is_pooled(self):
         energies = np.linalg.eigvalsh(sample_gue(32, 1.0, RngStream(27, 0)))
         stats = gap_statistics([energies])

@@ -618,6 +618,51 @@ class TestArrayWrappers:
             chi_mean(4, np.zeros((2, 2)))
 
 
+# Every spectral entry point that takes times, on a grid `times`.
+TIME_ENTRY_POINTS = {
+    "f_matrix": lambda times: f_matrix(4, times),
+    "trace_f": lambda times: trace_f(4, times),
+    "correlator": lambda times: correlator((1, -1), 4, times),
+    "chi_curve": lambda times: chi_curve("GUE", 4, times),
+    "xi_curve": lambda times: xi_curve("POISSON", 4, times),
+    "rho_curve": lambda times: rho_curve("GUE", 2, 2, times),
+    "purity_curve": lambda times: purity_curve("GUE", 2, 2, times),
+    "purity_curve d_A=1": lambda times: purity_curve("GUE", 1, 4, times),
+    "chi_mean": lambda times: chi_mean(4, times),
+    "xi_mean": lambda times: xi_mean(4, times),
+    "rho_mean_coeffs": lambda times: rho_mean_coeffs(2, 2, times),
+    "purity_mean": lambda times: purity_mean(2, 2, times),
+    "purity_mean d_A=1": lambda times: purity_mean(1, 4, times),
+    "chi_poisson": lambda times: chi_poisson(4, times),
+    "xi_poisson": lambda times: xi_poisson(4, times),
+    "rho_poisson_coeffs": lambda times: rho_poisson_coeffs(2, 2, times),
+    "purity_poisson": lambda times: purity_poisson(2, 2, times),
+}
+
+
+class TestInvalidGrids:
+    """A grid that is not 1-d, is empty or is not finite is a ValueError at
+    every entry point, from the Monte Carlo's own check, before any work."""
+
+    def test_one_check_for_spectral_and_sim(self):
+        from guedyn import sim
+
+        assert spectral._checked_times is sim._checked_times
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("times", [[], [math.nan], [math.inf], [[0.5, 1.0], [1.5, 2.0]],
+                                       math.nan, -math.inf],
+                             ids=["empty", "nan", "inf", "2-d", "scalar-nan", "scalar-inf"])
+    @pytest.mark.parametrize("name", TIME_ENTRY_POINTS)
+    def test_rejected_before_any_work(self, monkeypatch, name, times):
+        def no_stack(*args, **kwargs):
+            raise AssertionError("_h_stack called on an invalid grid")
+
+        monkeypatch.setattr(spectral, "_h_stack", no_stack)
+        with pytest.raises(ValueError, match="times must be"):
+            TIME_ENTRY_POINTS[name](times)
+
+
 class TestBlockScan:
     # (fn, t_max, step): grids of 25, 6001, 1251 and 1001 points (the last
     # spans 7 chunks of the curve at d = 60), and a quadratic.
