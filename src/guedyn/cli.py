@@ -213,7 +213,7 @@ def run_gaps(cfg):
     spec = _model_spec(cfg)
 
     def spectra(streams):
-        # an overflowing coupling gives an inf H, which level_spectra rejects
+        # an overflowing coupling gives an inf H, which build_model rejects
         return [levels for gen in _restarted(streams) for levels in
                 models.level_spectra(spec, models.build_model(spec, gen))]
 

@@ -99,10 +99,11 @@ class PauliString:
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
-# A spin sample's draw and assembly run under this guard, on the thread that
-# does the arithmetic: an overflowing coupling leaves inf or NaN, without a
-# RuntimeWarning, for the finiteness checks of the pilot, the Monte Carlo and
-# level_spectra to raise as NumericalError.
+# A spin sample's draw and assembly, and the public builders, run under this
+# guard, on the thread that does the arithmetic: an overflowing coupling
+# leaves inf or NaN, without a RuntimeWarning, for the finiteness checks of
+# the builders, the pilot, the Monte Carlo and level_spectra to raise as
+# NumericalError.
 _OVERFLOW_TO_INF = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -277,6 +278,16 @@ def _syk_table(s: int) -> _PauliTable:
 # ---------------------------------------------------------------------------
 
 
+def _finite_matrix(table: _PauliTable, coeffs) -> np.ndarray:
+    # table.matrix(coeffs), which must be finite: an overflowing coupling is
+    # a NumericalError here.  The Monte Carlo finishes call table.matrix, so
+    # that the kernel's check names the sample's stream.
+    H = table.matrix(coeffs)
+    if not np.isfinite(H).all():
+        raise NumericalError("the couplings give a non-finite Hamiltonian")
+    return H
+
+
 def _bonds(row_a, row_b, coeff=1.0) -> np.ndarray:
     # coeff * (row_a . sigma_j)(row_b . sigma_{j+1}): nine coefficients, a-major
     row_a, row_b = np.asarray(row_a, dtype=float), np.asarray(row_b, dtype=float)
@@ -325,9 +336,10 @@ def tfim_hamiltonian(s, J, rotation, g) -> np.ndarray:
     return dtfim_hamiltonian(s, J, [rotation] * s, [rotation] * s, np.full(s, g))
 
 
+@_OVERFLOW_TO_INF
 def dtfim_hamiltonian(s, J, rotations_x, rotations_y, g) -> np.ndarray:
     """Disordered twin of the Ising chain: per-site frames and fields."""
-    return _chain_table(s).matrix(_ising_layout(J, rotations_x, rotations_y, g))
+    return _finite_matrix(_chain_table(s), _ising_layout(J, rotations_x, rotations_y, g))
 
 
 def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
@@ -338,25 +350,29 @@ def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
     )
 
 
+@_OVERFLOW_TO_INF
 def dxxz_hamiltonian(s, B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
     """Disordered twin of the XXZ chain: per-site frames, scalars g_j, h_j."""
-    return _chain_table(s).matrix(_xxz_layout(B, J, rotations_x, rotations_y, g, h))
+    return _finite_matrix(_chain_table(s), _xxz_layout(B, J, rotations_x, rotations_y, g, h))
 
 
+@_OVERFLOW_TO_INF
 def sg_hamiltonian(s, J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site):
     """Spin glass: bonds (h^a delta_ab + J1 h^ab + J2 h_j^ab) sigma^a sigma^b
     plus fields (g^a + J3 g_j^a) sigma^a."""
-    return _chain_table(s).matrix(
-        _sg_layout(J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site))
+    return _finite_matrix(_chain_table(s),
+                          _sg_layout(J1, J2, J3, h_diag, h_shared, h_site, g_shared, g_site))
 
 
+@_OVERFLOW_TO_INF
 def cs_hamiltonian(s_a, s_b, B, J, g, h_central, h_bath) -> np.ndarray:
     """Central-spin model: local z fields on the s_a central spins, random
     Heisenberg-type coupling inside the central block (strength J) and unit
     random coupling of every central spin to every bath spin."""
-    return _cs_table(s_a, s_b).matrix(_cs_layout(B, J, g, h_central, h_bath))
+    return _finite_matrix(_cs_table(s_a, s_b), _cs_layout(B, J, g, h_central, h_bath))
 
 
+@_OVERFLOW_TO_INF
 def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
     """Quartic Majorana model J2 sum_{i<j<k<l} g_{ijkl} f_i f_j f_k f_l.
 
@@ -365,7 +381,7 @@ def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
     """
     if s < 2:
         raise ValueError("need at least 4 Majorana modes (s >= 2)")
-    return _syk_table(s).matrix(J2 * np.asarray(couplings, dtype=float))
+    return _finite_matrix(_syk_table(s), J2 * np.asarray(couplings, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -475,7 +491,8 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     Stochastic inputs are drawn from ``rng`` in a fixed documented order
     (rotations first, then scalar coupling blocks), so a given stream state
     always produces the same Hamiltonian.  A spin sample is assembled once,
-    from its coefficient vector on the family's Pauli-string table.
+    from its coefficient vector on the family's Pauli-string table; couplings
+    that overflow it raise NumericalError.
     """
     gen = _as_generator(rng)
     if spec.family == "GUE":
@@ -483,7 +500,7 @@ def build_model(spec: ModelSpec, rng) -> np.ndarray:
     if spec.family == "POISSON":
         energies, basis = _poisson_sampler(spec.d)(gen)
         return (basis * energies) @ basis.conj().T
-    return _table(spec).matrix(_coefficients(spec, gen))
+    return _finite_matrix(_table(spec), _coefficients(spec, gen))
 
 
 def make_sampler(spec: ModelSpec):
@@ -530,20 +547,20 @@ def _sector_blocks(H, sectors) -> np.ndarray:
 
 
 def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
-    # Sampler for mc_average, read per stream and finished per block.  It
-    # gives a sample's (energies, basis) where that costs less than a dense
-    # eigh, else the dense H.  GUE reads its 2 d^2 normals and assembles the
-    # block's H; POISSON hands over its draw.  A spin family reads its
-    # coefficient vector and assembles each H from the table.  A table that
-    # conserves parity has a zero even-odd block, so the block's samples are
+    # Sampler for mc_average, read per stream into a row and finished per
+    # block as one kind: the block's (energies, bases) where that costs less
+    # than a dense eigh, else its (None, H) stack, which the kernel
+    # diagonalises.  GUE reads its 2 d^2 normals and assembles the block's
+    # H; POISSON hands over its draw.  A spin family reads its coefficient
+    # vector and assembles each H from the table.  A table that conserves
+    # parity has a zero even-odd block, so the block's samples are
     # diagonalised as their parity blocks (one stacked eigh) and the block
     # eigenvectors are scattered into the full bases.
     d = spec.d
     if spec.family == "GUE":
-        def finish(rows, reads):
+        def finish(rows):
             parts = rows.reshape(len(rows), 2, d, d)
-            return (np.empty((len(rows), d)), _hermitian(parts[:, 0], parts[:, 1]),
-                    np.zeros(len(rows), dtype=bool))
+            return None, _hermitian(parts[:, 0], parts[:, 1])
 
         return _BlockSampler(2 * d * d, lambda gen, row: gen.standard_normal(out=row), finish)
     if spec.family == "POISSON":
@@ -554,17 +571,16 @@ def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
         row[:] = _coefficients(spec, gen)
 
     if sectors is None:
-        return _BlockSampler(table.z.size, read, lambda rows, reads: (
-            np.empty((len(rows), d)), np.stack([table.matrix(c) for c in rows]),
-            np.zeros(len(rows), dtype=bool)))
+        return _BlockSampler(table.z.size, read,
+                             lambda rows: (None, np.stack([table.matrix(c) for c in rows])))
     cols = np.arange(d).reshape(2, 1, d // 2)
 
-    def finish(rows, reads):
+    def finish(rows):
         blocks = np.stack([_sector_blocks(table.matrix(c), sectors) for c in rows])
         energies, vectors = np.linalg.eigh(blocks)
         basis = np.zeros((len(rows), d, d), dtype=complex)
         basis[:, sectors[:, :, None], cols] = vectors
-        return energies.reshape(-1, d), basis, np.ones(len(rows), dtype=bool)
+        return energies.reshape(-1, d), basis
 
     return _BlockSampler(table.z.size, read, finish)
 
@@ -577,9 +593,8 @@ def _poisson_sampler(d: int) -> _BlockSampler:
         gen.standard_exponential(out=row[:d])
         gen.standard_normal(out=row[d:])
 
-    def finish(rows, reads):
-        return (np.sqrt(d + 1) * rows[:, :d], _haar_unitaries(rows[:, d:], d),
-                np.ones(len(rows), dtype=bool))
+    def finish(rows):
+        return np.sqrt(d + 1) * rows[:, :d], _haar_unitaries(rows[:, d:], d)
 
     return _BlockSampler(d + 2 * d * d, read, finish)
 

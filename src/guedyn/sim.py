@@ -13,12 +13,13 @@ afterwards), because the LAPACK rounding depends on its thread count; the
 output then depends on the inputs alone, not on ``OPENBLAS_NUM_THREADS``.
 Where that library is not found the thread count is left as it is.
 
-A sampler returns a dense Hamiltonian H or its eigendecomposition
-(energies, basis).  The block kernel turns every dense sample into that
-pair, by one batched ``eigh`` of the block's dense samples, before any
-transform; the scramble and the frame of the initial state then act on the
-basis alone.  Time evolution is one spectral step, psi(t) = V e^{-iEt}
-V^dag psi0, from the pair: :func:`evolve` takes it from ``eigh`` of H.
+A plain sampler returns a dense Hamiltonian H; the model samplers read a
+sample into a row and finish a block as one kind, its stack of dense H or
+of eigendecompositions (energies, basis).  The block kernel turns a dense
+block into those pairs, by one batched ``eigh``, before any transform; the
+scramble and the frame of the initial state then act on the basis alone.
+Time evolution is one spectral step, psi(t) = V e^{-iEt} V^dag psi0, from
+the pair: :func:`evolve` takes it from ``eigh`` of H.
 
 The block kernel's loop over samples only reads each sample's stream; what
 is built from the draws (H, its ``eigh``, the Haar QR, the normalised
@@ -188,13 +189,16 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     batch axes; each Hamiltonian evolves its own state.  ``times`` may be a
     finite scalar or a non-empty, finite 1d array; each eigendecomposition
     is done once and reused for every requested time.  Returns (..., d) for
-    a scalar time, else (..., len(times), d).
+    a scalar time, else (..., len(times), d).  A non-finite entry anywhere
+    in H raises NumericalError before ``eigh``, which reads one triangle.
     """
     H = np.asarray(H)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim < 1 or H.shape != psi0.shape + psi0.shape[-1:]:
         raise ValueError("dimension mismatch between H and psi0")
     ts = _checked_times(np.atleast_1d(times))
+    if not np.isfinite(H).all():
+        raise NumericalError("evolve got a non-finite Hamiltonian")
     energies, basis = np.linalg.eigh(H)
     out = _spectral_step(energies, basis, psi0, ts)
     return out[..., 0, :] if np.ndim(times) == 0 else out
@@ -388,13 +392,12 @@ _BLOCK_ENTRIES = 2**14
 class _BlockSampler:
     """A sampler in two steps, so that a block's transforms run once.
 
-    ``read(gen, row)`` draws one sample from its own stream, into ``row``
-    (``width`` floats) or as its return value.  ``finish(rows, reads)`` turns
-    a block's (n, width) rows and list of reads into its samples
-    ``(energies, mats, paired)``: mats[k] is the (d, d) basis of a pair
-    (paired[k]) with energies[k], else a dense H, whose row of ``energies``
-    is left unset.  Called with a generator it draws one sample, as a plain
-    sampler does.
+    ``read(gen, row)`` draws one sample from its own stream into ``row``, its
+    ``width`` floats.  ``finish(rows)`` turns a block's (n, width) rows into
+    one kind of block: ``(None, H)`` with the (n, d, d) stack of dense
+    Hamiltonians, or ``(energies, bases)`` with shapes (n, d) and (n, d, d),
+    H = bases diag(energies) bases^dag.  Called with a generator it draws one
+    sample: a dense H, or an (energies, basis) pair.
     """
 
     __slots__ = ("width", "read", "finish")
@@ -404,46 +407,25 @@ class _BlockSampler:
 
     def __call__(self, gen):
         rows = np.empty((1, self.width))
-        energies, mats, paired = self.finish(rows, [self.read(gen, rows[0])])
-        return (energies[0], mats[0]) if paired[0] else mats[0]
+        self.read(gen, rows[0])
+        energies, mats = self.finish(rows)
+        return mats[0] if energies is None else (energies[0], mats[0])
 
 
 def _plain_sampler(sampler, d) -> _BlockSampler:
-    # a plain sampler(gen) is the read, its sample checked and copied at
-    # once (a sampler may refill one array on every call); the finish
-    # stacks the dense samples and the pairs
-    return _BlockSampler(0, lambda gen, row: _checked(sampler(gen), d),
-                         lambda rows, reads: _stack_samples(reads, d))
+    # a plain sampler(gen) returns one dense H, which the read checks and
+    # copies at once into its row as complex entries (a sampler may refill
+    # one array on every call); the finish views the rows as the H stack
+    def read(gen, row):
+        h = sampler(gen)
+        if isinstance(h, tuple):
+            raise ValueError(f"sampler returned a tuple, expected a dense ({d}, {d}) H")
+        h = np.asarray(h)
+        if h.shape != (d, d):
+            raise ValueError(f"sampler returned shape {h.shape}, expected ({d}, {d})")
+        row.view(complex).reshape(d, d)[...] = h
 
-
-def _checked(sample, d):
-    if not isinstance(sample, tuple):
-        sample = np.array(sample)
-        if sample.shape != (d, d):
-            raise ValueError(f"sampler returned shape {sample.shape}, expected ({d}, {d})")
-        return sample
-    if len(sample) != 2:
-        raise ValueError(f"sampler returned a tuple of {len(sample)}, expected (energies, basis)")
-    energies, basis = np.array(sample[0]), np.array(sample[1])
-    if energies.shape != (d,) or basis.shape != (d, d):
-        raise ValueError(
-            f"sampler returned energies {energies.shape} and basis {basis.shape},"
-            f" expected ({d},) and ({d}, {d})"
-        )
-    return energies, basis
-
-
-def _stack_samples(samples, d):
-    n = len(samples)
-    energies = np.empty((n, d))
-    mats = np.empty((n, d, d), dtype=complex)
-    paired = np.array([isinstance(sample, tuple) for sample in samples])
-    for k, sample in enumerate(samples):
-        if paired[k]:
-            energies[k], mats[k] = sample
-        else:
-            mats[k] = sample
-    return energies, mats, paired
+    return _BlockSampler(2 * d * d, read, lambda rows: (None, rows.view(complex).reshape(-1, d, d)))
 
 
 def _restarted(streams):
@@ -454,13 +436,14 @@ def _restarted(streams):
         yield gen
 
 
-def _check_finite(energies, mats, paired, streams) -> None:
-    bad = ~np.isfinite(mats).all(axis=(-2, -1)) | (paired & ~np.isfinite(energies).all(axis=-1))
+def _check_finite(energies, mats, streams) -> None:
+    bad = ~np.isfinite(mats).all(axis=(-2, -1))
+    if energies is not None:
+        bad |= ~np.isfinite(energies).all(axis=-1)
     if bad.any():
-        k = int(np.argmax(bad))
-        what = "energies or basis" if paired[k] else "Hamiltonian"
-        raise NumericalError(
-            f"the sample of stream {streams[k].stream_id} has a non-finite {what}")
+        stream = streams[int(np.argmax(bad))]
+        what = "Hamiltonian" if energies is None else "energies or basis"
+        raise NumericalError(f"the sample of stream {stream.stream_id} has a non-finite {what}")
 
 
 def _left(m, ud):
@@ -473,13 +456,14 @@ def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scal
     # One block of consecutive samples.  Each sample reads its own stream,
     # in the order H (the sampler's read), scramble unitary, psi_A, psi_B;
     # everything built from those draws then runs once on the block's
-    # stacks.  The block's dense samples are diagonalised first, by one
-    # eigh, so every sample is an eigendecomposition (energies, basis V)
-    # before any transform, and the transforms act on V alone: the scramble
-    # u turns V into u V.  With a random product state, V is rotated into
-    # the frame of the completion unitary U_A of psi_A, (U_A^dag x I) V, and
-    # evolved from e1 x psi_B, which gives U_A^dag rho_A U_A directly.  One
-    # spectral step then evolves the block.  Returns the (B, n) real samples
+    # stacks.  The sampler's finish gives the block as dense H, which one
+    # eigh diagonalises first, or as pairs, so every sample is an
+    # eigendecomposition (energies, basis V) before any transform, and the
+    # transforms act on V alone: the scramble u turns V into u V.  With a
+    # random product state, V is rotated into the frame of the completion
+    # unitary U_A of psi_A, (U_A^dag x I) V, and evolved from e1 x psi_B,
+    # which gives U_A^dag rho_A U_A directly.  One spectral step then
+    # evolves the block.  Returns the (B, n) real samples
     # (rho_A as real and imaginary parts, then the purities) and the draw
     # and evolve seconds.
     start = time.thread_time()
@@ -490,17 +474,13 @@ def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scal
     # per sample: the scramble's 2 d^2 normals, then 2 d_A for psi_A and
     # 2 d_B for psi_B
     normals = np.empty((n, 2 * d * d * scramble + 2 * (d_A + d_B) * haar))
-    reads = []
     for k, gen in enumerate(_restarted(streams)):
-        reads.append(sampler.read(gen, rows[k]))
+        sampler.read(gen, rows[k])
         gen.standard_normal(out=normals[k])
-    energies, mats, paired = sampler.finish(rows, reads)
-    _check_finite(energies, mats, paired, streams)
-    dense = ~paired
-    if dense.any():
-        # a block of dense samples alone is diagonalised without a gathered
-        # copy, which at d = 256 cost 0.8 ms a sample in fresh pages
-        energies[dense], mats[dense] = np.linalg.eigh(mats if dense.all() else mats[dense])
+    energies, mats = sampler.finish(rows)
+    _check_finite(energies, mats, streams)
+    if energies is None:
+        energies, mats = np.linalg.eigh(mats)
     drawn = time.thread_time()
     if scramble:
         mats = _haar_unitaries(normals[:, : 2 * d * d], d) @ mats
@@ -558,19 +538,18 @@ def mc_average(
     """Ensemble average of rho_A(t) and purity over sampled Hamiltonians.
 
     ``sampler(gen)`` draws one sample with the numpy Generator ``gen`` and
-    returns either a (d, d) Hermitian array H or a tuple ``(energies,
-    basis)``: d real energies and a (d, d) unitary whose columns are the
-    matching eigenvectors, H = basis diag(energies) basis^dag.  A dense H is
-    diagonalised here, first of all, so that every sample is such a pair
-    before its scramble and frame rotation act on the basis; a pair is used
-    as it is, which saves that ``eigh`` where the sampler knows the
-    eigendecomposition.  Sample i uses the
-    stream ``(rng.master_seed, stream_offset + i)``, and ``rng.stream_id``
-    must be 0.  With the default random product initial state, rho_A is
-    reported in the rotated basis whose first vector is the sampled |1_A>,
-    matching the analytic coefficient decomposition; ``initial_state="e1"``
-    keeps the computational basis.
-    ``threads`` must be >= 1; each worker thread takes whole blocks of
+    returns a dense (d, d) Hermitian array H (a real H is taken as
+    complex); any other shape, a tuple included, raises ValueError.  The
+    samples are diagonalised here, first of all, so that each is a pair
+    (energies, basis) before its scramble and frame rotation act on the
+    basis.  The model samplers of :func:`guedyn.models.ensemble_dynamics`
+    hand over such pairs where they know the eigendecomposition, which
+    saves that ``eigh``.  Sample i uses the stream ``(rng.master_seed,
+    stream_offset + i)``, and ``rng.stream_id`` must be 0.  With the default
+    random product initial state, rho_A is reported in the rotated basis
+    whose first vector is the sampled |1_A>, matching the analytic
+    coefficient decomposition; ``initial_state="e1"`` keeps the
+    computational basis.  ``threads`` must be >= 1; each worker thread takes whole blocks of
     consecutive samples, and OpenBLAS runs one thread throughout.  A sample
     with a non-finite H, energy or basis raises NumericalError; ``times``
     must be a non-empty, finite 1d grid (else ValueError, before any draw).

@@ -19,12 +19,16 @@ from guedyn.models import (
     build_model,
     cs_hamiltonian,
     distance_d6,
+    dtfim_hamiltonian,
+    dxxz_hamiltonian,
     ensemble_dynamics,
     jordan_wigner_majoranas,
     make_sampler,
     rescale_energies,
+    sg_hamiltonian,
     syk_hamiltonian,
     tfim_hamiltonian,
+    xxz_hamiltonian,
 )
 from guedyn.sim import RngStream, gap_statistics, mc_average
 
@@ -639,6 +643,27 @@ class TestParitySectors:
         assert np.max(np.abs(got.rho_mean - want.rho_mean)) <= 1e-13
         assert np.max(np.abs(got.purity_mean - want.purity_mean)) <= 1e-13
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_finish_gives_one_kind(self, family):
+        # a block is dense H for the families diagonalised whole, else the
+        # pairs; one call of the sampler gives the first sample of the block
+        from guedyn import models
+
+        spec = ModelSpec(family, 2, 4)
+        sampler = models._spectral_sampler(spec)
+        rows = np.empty((3, sampler.width))
+        for k in range(3):
+            sampler.read(RngStream(95, k).generator(), rows[k])
+        energies, mats = sampler.finish(rows)
+        one = sampler(RngStream(95, 0).generator())
+        assert mats.shape == (3, spec.d, spec.d)
+        if family in ("POISSON", "SYK", "CS"):
+            assert energies.shape == (3, spec.d)
+            assert np.array_equal(one[0], energies[0]) and np.array_equal(one[1], mats[0])
+        else:
+            assert energies is None
+            assert isinstance(one, np.ndarray) and np.array_equal(one, mats[0])
+
     def test_dense_families_keep_their_bytes(self):
         # Written by the kernel that diagonalises a block's dense samples
         # first, by one batched eigh, and then scrambles and rotates their
@@ -797,6 +822,46 @@ class TestOverflowingCoupling:
         spec = ModelSpec(family, 2, 4, couplings)
         with pytest.raises(NumericalError, match="non-finite Hamiltonian"):
             models.level_spectra(spec, build_model(spec, RngStream(0, 0)))
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [
+        lambda: tfim_hamiltonian(3, 1e308, np.eye(3), 3.0),
+        lambda: dtfim_hamiltonian(3, 1e308, [np.eye(3)] * 3, [np.eye(3)] * 3, np.full(3, 3.0)),
+        lambda: xxz_hamiltonian(3, 1e308, 1.0, np.eye(3), 0.5, 3.0),
+        lambda: dxxz_hamiltonian(3, 1.0, 1e308, [np.eye(3)] * 3, [np.eye(3)] * 3,
+                                 np.full(3, 3.0), np.full(3, 0.5)),
+        lambda: sg_hamiltonian(3, 1e308, 1.0, 1.0, np.ones(3), np.full((3, 3), 3.0),
+                               np.ones((3, 3, 3)), np.ones(3), np.ones((3, 3))),
+        lambda: cs_hamiltonian(1, 2, 1e308, 1.0, np.full(1, 3.0), np.ones((1, 1, 3)),
+                               np.ones((1, 2, 3))),
+        lambda: syk_hamiltonian(3, 1e308, np.full(15, 3.0)),
+    ], ids=["TFIM", "DTFIM", "XXZ", "DXXZ", "SG", "CS", "SYK"])
+    def test_builder_raises_without_warning(self, build):
+        # the coupling times its input overflows in the layout, which used to
+        # warn and return an inf H
+        with pytest.raises(NumericalError, match="non-finite Hamiltonian"):
+            build()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, couplings", [
+        ("TFIM", {"J": 1e308}), ("DTFIM", {"J": 1e308}), ("XXZ", {"B": 1e308}),
+        ("DXXZ", {"J": 1e308}), ("SG", {"J1": 1e308}), ("CS", {"B": 1e308}),
+        ("SYK", {"J2": 1e308})])
+    def test_build_model_raises_without_warning(self, family, couplings):
+        # build_model used to return an inf H without a word; a draw whose H
+        # stays finite is returned as it is
+        spec = ModelSpec(family, 2, 4, couplings)
+        raised = 0
+        for i in range(8):
+            try:
+                h = build_model(spec, RngStream(0, i))
+            except NumericalError as err:
+                assert "non-finite Hamiltonian" in str(err)
+                raised += 1
+            else:
+                assert np.isfinite(h).all()
+        assert raised
 
 
 class TestRescaleOverflow:

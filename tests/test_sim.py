@@ -146,6 +146,18 @@ class TestEvolution:
         with pytest.raises(ValueError, match="finite"):
             evolve(np.eye(2), np.array([1.0, 0.0]), times)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_non_finite_hamiltonian_raises(self, entry, batch):
+        # eigh reads the lower triangle, so a NaN in the upper one was
+        # ignored without a word; an inf raised LinAlgError
+        gen = RngStream(12, 0).generator()
+        h = sample_gue(4, 1.0, gen, size=3 if batch else None)
+        psi = haar_state(4, gen)
+        (h[-1] if batch else h)[0, 2] = entry
+        with pytest.raises(NumericalError, match="evolve got a non-finite Hamiltonian"):
+            evolve(h, np.broadcast_to(psi, h.shape[:-1]), [0.0, 1.0])
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -682,7 +694,7 @@ class TestStreamRestart:
 
 
 class TestSpectralSamples:
-    """A sampler may hand the kernel its sample's (energies, basis)."""
+    """A block sampler may hand the kernel its block's (energies, bases)."""
 
     times = np.linspace(0.0, 6.0, 31)
 
@@ -693,6 +705,15 @@ class TestSpectralSamples:
         basis = sample_haar_unitary(8, gen)
         return energies, basis
 
+    @staticmethod
+    def pair_sampler():
+        # fixed_pair read per stream into a row and finished as the block's
+        # pairs: the 8 energies, then the normals of the Haar basis
+        from guedyn.sim import _BlockSampler, _haar_unitaries
+
+        return _BlockSampler(8 + 2 * 64, lambda gen, row: gen.standard_normal(out=row),
+                             lambda rows: (rows[:, :8], _haar_unitaries(rows[:, 8:], 8)))
+
     @pytest.mark.parametrize("initial_state", ["haar", "e1"])
     @pytest.mark.parametrize("scramble", [False, True])
     def test_pair_matches_dense_h(self, initial_state, scramble):
@@ -701,7 +722,7 @@ class TestSpectralSamples:
             return (basis * energies) @ basis.conj().T
 
         kw = dict(initial_state=initial_state, scramble=scramble, energy_scale=1.3)
-        a = mc_average(self.fixed_pair, 2, 4, self.times, 9, RngStream(80), **kw)
+        a = mc_average(self.pair_sampler(), 2, 4, self.times, 9, RngStream(80), **kw)
         b = mc_average(dense, 2, 4, self.times, 9, RngStream(80), **kw)
         assert np.max(np.abs(a.rho_mean - b.rho_mean)) <= 1e-13
         assert np.max(np.abs(a.purity_mean - b.purity_mean)) <= 1e-13
@@ -709,42 +730,36 @@ class TestSpectralSamples:
     @pytest.mark.parametrize("initial_state", ["haar", "e1"])
     @pytest.mark.parametrize("scramble", [False, True])
     def test_dense_h_is_its_eigh_pair(self, initial_state, scramble):
-        # a dense sample is diagonalised before its transforms, so handing
-        # over np.linalg.eigh of the same H gives the same bytes
+        # a dense block is diagonalised before its transforms, so a finish
+        # that hands over np.linalg.eigh of the same H stack gives the same
+        # bytes
+        from guedyn.sim import _BlockSampler, _plain_sampler
+
         def dense(gen):
             return sample_gue(8, 1.0, gen)
 
+        plain = _plain_sampler(dense, 8)
+        pairs = _BlockSampler(plain.width, plain.read,
+                              lambda rows: np.linalg.eigh(plain.finish(rows)[1]))
         kw = dict(initial_state=initial_state, scramble=scramble)
         a = mc_average(dense, 2, 4, self.times, 9, RngStream(84), **kw)
-        b = mc_average(lambda gen: np.linalg.eigh(dense(gen)), 2, 4, self.times, 9,
-                       RngStream(84), **kw)
+        b = mc_average(pairs, 2, 4, self.times, 9, RngStream(84), **kw)
         for x, y in zip(_fields(a), _fields(b)):
             assert np.array_equal(x, y)
 
-    def test_pairs_and_dense_in_one_block(self, monkeypatch):
-        # every other sample dense: each keeps its own arithmetic
-        from guedyn import sim
-
-        def mixed(gen):
-            energies, basis = self.fixed_pair(gen)
-            if energies[0] > 0:
-                return (basis * energies) @ basis.conj().T
-            return energies, basis
-
-        one = mc_average(mixed, 2, 4, self.times, 12, RngStream(81))
-        monkeypatch.setattr(sim, "_BLOCK_ENTRIES", 5 * 8 * self.times.size)
-        five = mc_average(mixed, 2, 4, self.times, 12, RngStream(81), threads=2)
-        for a, b in zip(_fields(one), _fields(five)):
-            assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("bad", [
         lambda gen: (np.zeros(8),),
-        lambda gen: (np.zeros(7), np.eye(8)),
+        lambda gen: np.linalg.eigh(sample_gue(8, 1.0, gen)),  # a pair it used to take
         lambda gen: (np.zeros(8), np.eye(4)),
     ])
-    def test_bad_pair_rejected(self, bad):
-        with pytest.raises(ValueError, match="sampler returned"):
+    def test_tuple_rejected(self, bad):
+        # a plain sampler returns a dense H; pairs come from block samplers
+        with pytest.raises(ValueError, match=r"returned a tuple, expected a dense \(8, 8\) H"):
             mc_average(bad, 2, 4, self.times, 2, RngStream(82))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"returned shape \(4, 4\), expected \(8, 8\)"):
+            mc_average(lambda gen: sample_gue(4, 1.0, gen), 2, 4, self.times, 2, RngStream(82))
 
     @pytest.mark.parametrize("family, d_A, d_B, scramble", [("CS", 2, 4, False),
                                                             ("CS", 2, 4, True),
@@ -776,15 +791,30 @@ class TestNonFiniteSamples:
 
     @staticmethod
     def third_sample_spoiled(spoil):
-        # sample 2 of a one-thread, one-block run is the third call
+        # a dense H per sample; sample 2 of a one-thread, one-block run is
+        # the third call
         calls = []
 
         def sampler(gen):
             energies, basis = gen.normal(size=4), sample_haar_unitary(4, gen)
             calls.append(None)
-            return spoil(energies, basis) if len(calls) == 3 else (energies, basis)
+            h = (basis * energies) @ basis.conj().T
+            return spoil(h) if len(calls) == 3 else h
 
         return sampler
+
+    @staticmethod
+    def pair_sampler(spoil):
+        # drawn energies and Haar bases, finished as the block's pairs, with
+        # sample 2 of the one block spoiled
+        from guedyn.sim import _BlockSampler, _haar_unitaries
+
+        def finish(rows):
+            energies, bases = rows[:, :4].copy(), _haar_unitaries(rows[:, 4:], 4)
+            energies[2], bases[2] = spoil(energies[2], bases[2])
+            return energies, bases
+
+        return _BlockSampler(4 + 2 * 16, lambda gen, row: gen.standard_normal(out=row), finish)
 
     @pytest.mark.parametrize("spoil", [
         lambda e, v: (np.where(np.arange(4) == 1, np.inf, e), v),
@@ -794,14 +824,13 @@ class TestNonFiniteSamples:
     def test_pair_raises(self, spoil, scramble):
         # an inf energy used to give NaN means and a RuntimeWarning
         with pytest.raises(NumericalError, match="stream 2 has a non-finite energies or basis"):
-            mc_average(self.third_sample_spoiled(spoil), 2, 2, self.times, 4, RngStream(96),
+            mc_average(self.pair_sampler(spoil), 2, 2, self.times, 4, RngStream(96),
                        scramble=scramble)
 
     @pytest.mark.parametrize("scramble", [False, True])
     def test_dense_h_raises(self, scramble):
         # a NaN dense H used to raise LinAlgError from eigh
-        def spoil(energies, basis):
-            h = (basis * energies) @ basis.conj().T
+        def spoil(h):
             h[0, 1] = np.nan
             return h
 
