@@ -715,6 +715,19 @@ def distance_d6(a: DynamicsTrace, b: DynamicsTrace) -> float:
     return float(np.trapezoid(norms, a.times))
 
 
+def _pilot_scale(spec, n_samples, rng, stream_offset=0, threads=1) -> float:
+    # The energy scale of a spin ensemble from the coefficient vectors of its
+    # samples (the streams of ensemble_dynamics): Tr H and Tr H^2 of each,
+    # building no H.  Couplings that overflow raise NumericalError here.
+    table = _table(spec)
+
+    def moments(streams):
+        return [table.moments(_coefficients(spec, gen)) for gen in _restarted(streams)]
+
+    tot, sq = np.array(_run_blocks(moments, n_samples, rng, stream_offset, threads)).T
+    return _moment_scale(spec.d, tot, sq)
+
+
 def ensemble_dynamics(
     spec: ModelSpec,
     times,
@@ -742,13 +755,7 @@ def ensemble_dynamics(
     times = _checked_times(times)
     scale = 1.0
     if spec.family in SPIN_FAMILIES:
-        table = _table(spec)
-
-        def moments(streams):
-            return [table.moments(_coefficients(spec, gen)) for gen in _restarted(streams)]
-
-        tot, sq = np.array(_run_blocks(moments, n_samples, rng, stream_offset, threads)).T
-        scale = _moment_scale(spec.d, tot, sq)
+        scale = _pilot_scale(spec, n_samples, rng, stream_offset, threads)
     return mc_average(
         _spectral_sampler(spec),
         spec.d_a,

@@ -19,7 +19,12 @@ of eigendecompositions (energies, basis).  The block kernel turns a dense
 block into those pairs, by one batched ``eigh``, before any transform; the
 scramble and the frame of the initial state then act on the basis alone.
 Time evolution is one spectral step, psi(t) = V e^{-iEt} V^dag psi0, from
-the pair: :func:`evolve` takes it from ``eigh`` of H.
+the pair: :func:`evolve` takes it from ``eigh`` of H.  On a uniform time
+grid (every CLI grid) the step writes k = qB + r with B = ceil(sqrt(T)) and
+takes each phase as one product e^{-iE ts[qB]} e^{-iE r dt}, so cos and sin
+run on about 2 sqrt(T) times, not T; the phases are then taken at
+ts[qB] + r dt, within eps max|t| of the given times for linspace, arange
+and scale * arange grids.  Any other grid takes cos and sin of every time.
 
 The block kernel's loop over samples only reads each sample's stream; what
 is built from the draws (H, its ``eigh``, the Haar QR, the normalised
@@ -34,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 import threading
 import time
@@ -190,7 +196,13 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     finite scalar or a non-empty, finite 1d array; each eigendecomposition
     is done once and reused for every requested time.  Returns (..., d) for
     a scalar time, else (..., len(times), d).  A non-finite entry anywhere
-    in H raises NumericalError before ``eigh``, which reads one triangle.
+    in H raises NumericalError before ``eigh``, which reads one triangle; so
+    does a non-finite entry in ``psi0``, and a zero state raises ValueError.
+    On a uniform grid (to 4 eps max|t|) the phases e^{-iEt} are taken at
+    ts[qB] + r dt, for k = qB + r and B = ceil(sqrt(T)), so within
+    4 eps max|t| of the given times (within eps max|t| for linspace, arange
+    and scale * arange grids); cos and sin then run on about 2 sqrt(T)
+    times, not T.  Any other grid takes every time as given.
     """
     H = np.asarray(H)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -199,8 +211,12 @@ def evolve(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     ts = _checked_times(np.atleast_1d(times))
     if not np.isfinite(H).all():
         raise NumericalError("evolve got a non-finite Hamiltonian")
+    if not np.isfinite(psi0).all():
+        raise NumericalError("evolve got a non-finite state")
+    if not psi0.any(axis=-1).all():
+        raise ValueError("evolve got a zero state")
     energies, basis = np.linalg.eigh(H)
-    out = _spectral_step(energies, basis, psi0, ts)
+    out = _spectral_step(energies, basis, psi0, _phase_grid(ts))
     return out[..., 0, :] if np.ndim(times) == 0 else out
 
 
@@ -216,17 +232,63 @@ def _checked_times(times) -> np.ndarray:
     return ts
 
 
-def _spectral_step(energies, basis, psi0, ts):
-    # V e^{-i E t} V^dag psi0 for every t of the 1d grid ``ts``, from the
-    # eigendecomposition (E, V): (..., d), (..., d, d) -> (..., T, d).
+# How far, in units of eps max|t|, a grid point may lie from its blocked
+# time for the grid to count as uniform; linspace, arange and
+# scale * arange grids are within one.
+_UNIFORM_EPS = 4
+
+
+def _phase_grid(ts):
+    # (ts, B, dt) for the phases of the 1d grid ``ts``.  On a uniform grid,
+    # t_k = t_0 + k dt to 4 eps max|t|, the block length is
+    # B = ceil(sqrt(T)) and dt = (t_{T-1} - t_0) / (T - 1); any other grid,
+    # and a grid too short for blocks to save work, gives B = dt = None.
+    # linspace and scale * arange points are not exactly t_0 + k dt, so the
+    # test is on the times the blocked phases use, ts[k - r] + r dt with
+    # r = k mod B.
+    size = ts.size
+    block = math.isqrt(size - 1) + 1
+    if block + -(-size // block) >= size:
+        return ts, None, None
+    dt = (ts[-1] - ts[0]) / (size - 1)
+    r = np.arange(size) % block
+    error = np.abs(ts[::block].repeat(block)[:size] + r * dt - ts)
+    if not error.max() <= _UNIFORM_EPS * np.finfo(float).eps * np.abs(ts).max():
+        return ts, None, None
+    return ts, block, dt
+
+
+def _cis(angles):
+    # e^{i a} = cos a + i sin a, written in place; glibc's complex exp
+    # returns these same values, at more cost
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
+def _phases(energies, grid):
+    # e^{-iEt} for every t of the grid from _phase_grid: (..., d) -> (..., T, d).
+    # On a uniform grid t_k with k = qB + r (r < B) the phase is one product
+    # e^{-iE t_{qB}} e^{-iE r dt}, so cos and sin run on about 2 sqrt(T) times,
+    # not T; the padded last block is sliced off.  Any other grid takes cos
+    # and sin of every -t E.
+    ts, block, dt = grid
+    if block is None:
+        return _cis((-ts)[:, None] * energies[..., None, :])
+    coarse = _cis((-ts[::block])[:, None] * energies[..., None, :])  # (..., Q, d)
+    fine = _cis((-(np.arange(block) * dt))[:, None] * energies[..., None, :])  # (..., B, d)
+    lead, d = energies.shape[:-1], energies.shape[-1]
+    out = np.empty(lead + (coarse.shape[-2], block, d), dtype=complex)
+    np.multiply(coarse[..., :, None, :], fine[..., None, :, :], out=out)
+    return out.reshape(lead + (-1, d))[..., : ts.size, :]
+
+
+def _spectral_step(energies, basis, psi0, grid):
+    # V e^{-i E t} V^dag psi0 for every t of the grid from _phase_grid, from
+    # the eigendecomposition (E, V): (..., d), (..., d, d) -> (..., T, d).
     coeff = psi0[..., None, :] @ basis.conj()  # (..., 1, d): V^dag psi0
-    # e^{-iEt} = cos(-Et) + i sin(-Et), written in place and then scaled by
-    # the coefficients; glibc's complex exp returns these same values, at
-    # more cost
-    angles = (-ts)[:, None] * energies[..., None, :]  # (..., T, d)
-    phases = np.empty(angles.shape, dtype=complex)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=phases.imag)
+    phases = _phases(energies, grid)
     phases *= coeff
     return phases @ basis.swapaxes(-1, -2)
 
@@ -287,12 +349,20 @@ def completion_unitary(psi: np.ndarray) -> np.ndarray:
 
     Completed by Gram-Schmidt over the standard basis, skipping the basis
     vector with the largest overlap modulus (ties: lowest index), so the
-    construction is deterministic.
+    construction is deterministic.  A state with a non-finite entry, or
+    whose norm overflows, raises NumericalError, and a zero state (or one
+    whose norm underflows to 0) ValueError.
     """
     psi = np.asarray(psi, dtype=complex)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        norms = _norms(psi)
+    if not np.isfinite(norms).all():
+        raise NumericalError("completion_unitary got a non-finite state or norm")
+    if not norms.all():
+        raise ValueError("completion_unitary got a zero state")
     d = psi.shape[-1]
     skip = np.argmax(np.abs(psi), axis=-1)[..., None]
-    cols = [psi / _norms(psi)[..., None]]
+    cols = [psi / norms[..., None]]
     for c in range(d - 1):
         v = (np.arange(d) == c + (c >= skip)).astype(complex)  # e_j, the c-th j != skip
         for u in cols:
@@ -452,7 +522,7 @@ def _left(m, ud):
     return (ud @ m.reshape(m.shape[:-2] + (ud.shape[-1], -1))).reshape(m.shape)
 
 
-def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scale):
+def _single_run(sampler, d_A, d_B, grid, streams, initial_state, scramble):
     # One block of consecutive samples.  Each sample reads its own stream,
     # in the order H (the sampler's read), scramble unitary, psi_A, psi_B;
     # everything built from those draws then runs once on the block's
@@ -475,7 +545,10 @@ def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scal
     # 2 d_B for psi_B
     normals = np.empty((n, 2 * d * d * scramble + 2 * (d_A + d_B) * haar))
     for k, gen in enumerate(_restarted(streams)):
-        sampler.read(gen, rows[k])
+        try:
+            sampler.read(gen, rows[k])
+        except NumericalError as err:  # a plain sampler that checks its own H
+            raise NumericalError(f"the sample of stream {streams[k].stream_id}: {err}") from err
         gen.standard_normal(out=normals[k])
     energies, mats = sampler.finish(rows)
     _check_finite(energies, mats, streams)
@@ -492,7 +565,7 @@ def _single_run(sampler, d_A, d_B, times, streams, initial_state, scramble, scal
         mats = _left(mats, u_a.conj().swapaxes(-1, -2))
     else:
         psi0[:, 0] = 1.0
-    rho = partial_trace(_spectral_step(energies, mats, psi0, scale * times), d_A, d_B)
+    rho = partial_trace(_spectral_step(energies, mats, psi0, grid), d_A, d_B)
     x = np.concatenate((rho.reshape(n, -1).view(float), purity(rho)), axis=1)
     return x, drawn - start, time.thread_time() - drawn
 
@@ -560,11 +633,10 @@ def mc_average(
     if not isinstance(sampler, _BlockSampler):
         sampler = _plain_sampler(sampler, d_A * d_B)
     step = max(1, _BLOCK_ENTRIES // (d_A * d_B * times.size))
+    grid = _phase_grid(energy_scale * times)
 
     def job(block):
-        return _single_run(
-            sampler, d_A, d_B, times, block, initial_state, scramble, energy_scale
-        )
+        return _single_run(sampler, d_A, d_B, grid, block, initial_state, scramble)
 
     return _run_blocks(job, n_samples, rng, stream_offset, threads, step,
                        lambda blocks: _reduce(times, blocks, n_samples, energy_scale, d_A))

@@ -359,6 +359,16 @@ class TestDistance:
         assert captured.err.splitlines() == [f"{fam}: sampled 4 systems"
                                              for fam in ("GUE", "POISSON", "XXZ")]
 
+    def test_overflowing_coupling_exits_3_before_sampling(self, tmp_path, capsys):
+        # the GUE and POISSON Monte Carlo used to run before the SYK pilot
+        out = str(tmp_path / "x.csv")
+        assert main(["distance", "--dA", "2", "--dB", "4", "--samples", "2", "--dt", "0.5",
+                     "--models", "SYK", "--J2", "1e308", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite Tr H or Tr H^2" in err
+        assert "sampled" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_model(self, tmp_path):
         assert main(["distance", "--models", "NOPE", "--samples", "2",
                      "--out", str(tmp_path / "x.csv")]) == 2

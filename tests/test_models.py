@@ -666,10 +666,12 @@ class TestParitySectors:
 
     def test_dense_families_keep_their_bytes(self):
         # Written by the kernel that diagonalises a block's dense samples
-        # first, by one batched eigh, and then scrambles and rotates their
-        # bases alone, as it does for (energies, basis) samples.  The bytes
-        # depend on the LAPACK build, so they are compared exactly only under
-        # the numpy and OpenBLAS build that wrote them, else to 1e-13.
+        # first, by one batched eigh, scrambles and rotates their bases
+        # alone, as it does for (energies, basis) samples, and takes the
+        # phases of its uniform grid as blocked products e^{-iE ts[qB]}
+        # e^{-iE r dt}.  The bytes depend on the LAPACK build, so they are
+        # compared exactly only under the numpy and OpenBLAS build that wrote
+        # them, else to 1e-13.
         import os
 
         path = os.path.join(os.path.dirname(__file__), "data", "mc_dense_reference.npz")
@@ -687,11 +689,11 @@ class TestParitySectors:
                         assert np.max(np.abs(getattr(got, name) - want)) <= 1e-13
 
     def test_pair_families_keep_their_bytes(self):
-        # Written by the kernel that drew and transformed one sample at a
-        # time (Haar basis, scramble, psi_A's completion and the frame
-        # rotation per sample), before those transforms ran on the block's
-        # stacks.  Exact under the numpy and OpenBLAS build that wrote it,
-        # else to 1e-13, as above.
+        # Written by the kernel that transforms a block's (energies, basis)
+        # samples on stacks (Haar basis, scramble, psi_A's completion and
+        # the frame rotation) and takes the phases of its uniform grid as
+        # blocked products, as above.  Exact under the numpy and OpenBLAS
+        # build that wrote it, else to 1e-13, as above.
         import os
 
         path = os.path.join(os.path.dirname(__file__), "data", "mc_pair_reference.npz")

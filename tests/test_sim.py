@@ -158,6 +158,96 @@ class TestEvolution:
         with pytest.raises(NumericalError, match="evolve got a non-finite Hamiltonian"):
             evolve(h, np.broadcast_to(psi, h.shape[:-1]), [0.0, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, entry):
+        # a NaN state used to evolve into NaN without a word
+        with pytest.raises(NumericalError, match="evolve got a non-finite state"):
+            evolve(np.eye(2), np.array([entry, 0.0]), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_state_rejected(self):
+        with pytest.raises(ValueError, match="evolve got a zero state"):
+            evolve(np.eye(2), np.zeros(2), [0.0, 1.0])
+
+    def test_uniform_grid_matches_expm(self):
+        # the blocked phases against a per-time matrix exponential, to the
+        # tolerance of TestBlockKernel's dense reference
+        from guedyn import sim
+
+        gen = RngStream(13, 0).generator()
+        h = sample_gue(6, 1.0, gen)
+        psi = haar_state(6, gen)
+        ts = np.linspace(0.0, 12.0, 601)
+        assert sim._phase_grid(ts)[1] == 25
+        states = evolve(h, psi, ts)
+        for k in (0, 1, 24, 25, 26, 333, 599, 600):
+            want = scipy.linalg.expm(-1j * ts[k] * h) @ psi
+            assert np.max(np.abs(states[k] - want)) <= 1e-12
+
+
+def _uniform_grids():
+    # linspace, arange and scale * arange grids of the lengths the blocks
+    # split in every way: T < 6 keeps the direct phases, 7 = 2 * 3 + 1,
+    # 31 = 5 * 6 + 1, 601 = 24 * 25 + 1 and 602 = 24 * 25 + 2
+    for size in (1, 2, 3, 7, 31, 601, 602):
+        yield f"linspace-{size}", np.linspace(0.0, 30.0, size)
+        yield f"offset-linspace-{size}", np.linspace(-7.3, 11.9, size)
+        yield f"arange-{size}", np.arange(size) * 0.05
+        yield f"scaled-arange-{size}", 1.37 * np.arange(0.0, size * 0.05 - 0.025, 0.05)
+
+
+class TestPhases:
+    """e^{-iEt} on a time grid: blocked products on uniform grids."""
+
+    energies = np.random.default_rng(31).normal(scale=1.5, size=(3, 8))
+
+    @staticmethod
+    def reference(energies, ts):
+        angles = -np.asarray(ts, dtype=np.longdouble)[:, None] * energies[..., None, :]
+        return np.cos(angles), np.sin(angles)
+
+    @pytest.mark.parametrize("name, ts", list(_uniform_grids()))
+    def test_uniform_grid_within_rounding(self, name, ts):
+        from guedyn import sim
+
+        grid = sim._phase_grid(ts)
+        # blocks take fewer cos and sin once T >= 6
+        assert (grid[1] is None) == (ts.size < 6)
+        if grid[1] is not None:
+            assert grid[1] == math.isqrt(ts.size - 1) + 1
+        got = sim._phases(self.energies, grid)
+        assert got.shape == (3, ts.size, 8)
+        cos, sin = self.reference(self.energies, ts)
+        err = max(np.max(np.abs(got.real - cos)), np.max(np.abs(got.imag - sin)))
+        bound = 4 * np.finfo(float).eps * (1 + np.max(np.abs(ts)) * np.max(np.abs(self.energies)))
+        assert err <= bound, (name, err, bound)
+
+    @pytest.mark.parametrize("ts", [
+        np.array([0.0, 0.3, 0.31, 1.7, 2.0, 5.5, 9.0, 9.1]),
+        np.geomspace(0.01, 30.0, 601),
+        np.r_[np.linspace(0.0, 6.0, 100), 6.0 + 1e-9],
+    ])
+    def test_other_grid_keeps_the_direct_bytes(self, ts):
+        from guedyn import sim
+
+        grid = sim._phase_grid(ts)
+        assert grid[1] is None
+        angles = (-ts)[:, None] * self.energies[..., None, :]
+        want = np.cos(angles) + 1j * np.sin(angles)
+        assert np.array_equal(sim._phases(self.energies, grid), want)
+
+    def test_uniform_to_4_eps_max_t(self):
+        # a middle point 1 ulp off its linspace value keeps the grid uniform;
+        # 64 ulp of max|t| off, beyond 4 eps max|t|, does not
+        from guedyn import sim
+
+        ts = np.linspace(0.0, 30.0, 601)
+        ts[300] = np.nextafter(ts[300], np.inf)
+        assert sim._phase_grid(ts)[1] == 25
+        ts[300] += 64 * np.spacing(30.0)
+        assert sim._phase_grid(ts)[1] is None
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -236,6 +326,23 @@ class TestCompletionUnitary:
     def test_deterministic(self):
         psi = haar_state(4, RngStream(15, 0))
         assert np.array_equal(completion_unitary(psi), completion_unitary(psi))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("psi", [[[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]],
+                                     [[1.0, 0.0, 0.0], [0.0, np.inf, 1.0]],
+                                     [1e200, 1e200, 0.0]])
+    def test_non_finite_state_or_norm_raises(self, psi):
+        # an overflowing norm used to warn and give a zero first column
+        with pytest.raises(NumericalError, match="completion_unitary got a non-finite state"):
+            completion_unitary(np.array(psi))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("psi", [np.zeros(3), np.array([1e-170, 0.0, 0.0])])
+    def test_zero_state_rejected(self, psi):
+        # a zero state used to warn of a division by zero and return NaN;
+        # a norm that underflows to 0 is the same
+        with pytest.raises(ValueError, match="completion_unitary got a zero state"):
+            completion_unitary(psi)
 
 
 class TestMcAverage:
@@ -348,6 +455,15 @@ class TestMcAverage:
         # be ignored
         with pytest.raises(ValueError, match="pass stream_offset"):
             mc_average(self.gue_sampler, 2, 2, self.times, 4, RngStream(7, 3))
+
+    def test_plain_sampler_overflow_names_its_stream(self):
+        # build_model raises inside the read, before the kernel's own check
+        from guedyn.models import ModelSpec, make_sampler
+
+        sampler = make_sampler(ModelSpec("SYK", 2, 4, {"J2": 1e308}))
+        with pytest.raises(NumericalError, match="the sample of stream 0: the couplings give"
+                                                 " a non-finite Hamiltonian"):
+            mc_average(sampler, 2, 4, self.times, 4, RngStream(0))
 
     def test_more_threads_than_samples(self):
         one = mc_average(self.gue_sampler, 2, 2, self.times, 2, RngStream(24))
