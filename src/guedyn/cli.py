@@ -485,9 +485,9 @@ _DEFAULTS = {
     },
 }
 
-# every name of models.COUPLINGS, in order of first use
-_COUPLING_FLAGS = tuple(dict.fromkeys(
-    name for names in models.COUPLINGS.values() for name in names))
+# every name of models.COUPLINGS, in the --help order and the key order of a
+# manifest's config
+_COUPLING_FLAGS = ("J", "B", "J1", "J2", "J3")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,9 @@ are exactly the central spins.
 
 Internally every term is a Pauli string in the symplectic representation
 ``i^k X^x Z^z`` (bit masks over sites; Aaronson & Gottesman,
-quant-ph/0406196), so phases are exact integer bookkeeping.  Each family
-and size has one fixed table of its strings, built once per process; a
-sample only draws the real coefficient vector.  Assembly sums the
+quant-ph/0406196), so phases are exact integer bookkeeping.  A spin family
+is one record (couplings, size rule, table and draw of the real coefficient
+vector), so adding a family means adding a record.  Assembly sums the
 coefficients per (x, z), takes a Walsh-Hadamard transform over z for each
 distinct x and writes each x group with one indexed store, so H is
 exactly Hermitian.  A table whose every x mask has even weight conserves the
@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isfinite, log2
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .sim import (
 )
 
 __all__ = [
-    "PauliString",
     "ModelSpec",
     "COUPLINGS",
     "SPIN_FAMILIES",
@@ -74,27 +74,19 @@ __all__ = [
     "syk_hamiltonian",
 ]
 
-SPIN_FAMILIES = ("TFIM", "DTFIM", "XXZ", "DXXZ", "SYK", "SG", "CS")
-# Periodic chains; on one spin the bond j -> j+1 would be an on-site product.
-_CHAIN_FAMILIES = ("TFIM", "DTFIM", "XXZ", "DXXZ", "SG")
-FAMILIES = SPIN_FAMILIES + ("GUE", "POISSON")
-
 
 @dataclass(frozen=True)
-class PauliString:
+class _PauliString:
     """i^k * X^x * Z^z with x, z site bit masks (site 0 = highest bit)."""
 
     x: int = 0
     z: int = 0
     k: int = 0  # power of i, mod 4
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
+    def __mul__(self, other: "_PauliString") -> "_PauliString":
         # Z^z1 X^x2 = (-1)^{|z1 & x2|} X^x2 Z^z1
         k = (self.k + other.k + 2 * (self.z & other.x).bit_count()) % 4
-        return PauliString(self.x ^ other.x, self.z ^ other.z, k)
-
-    def matrix(self, s: int) -> np.ndarray:
-        return _PauliTable.from_strings(s, [self]).matrix(np.ones(1))
+        return _PauliString(self.x ^ other.x, self.z ^ other.z, k)
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -178,31 +170,31 @@ class _PauliTable:
         return ham
 
 
-def _pauli(s: int, site: int, axis: int) -> PauliString:
+def _pauli(s: int, site: int, axis: int) -> _PauliString:
     # axis 1, 2, 3 = x, y, z; sigma^2 = i X Z
     bit = 1 << (s - 1 - site)
     if axis == 1:
-        return PauliString(x=bit)
+        return _PauliString(x=bit)
     if axis == 2:
-        return PauliString(x=bit, z=bit, k=1)
+        return _PauliString(x=bit, z=bit, k=1)
     if axis == 3:
-        return PauliString(z=bit)
+        return _PauliString(z=bit)
     raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
 
 
-def _string(s: int, factors) -> PauliString:
-    out = PauliString()
+def _string(s: int, factors) -> _PauliString:
+    out = _PauliString()
     for site, axis in factors:
         out = out * _pauli(s, site, axis)
     return out
 
 
-def _majorana_strings(s: int) -> list[PauliString]:
+def _majorana_strings(s: int) -> list[_PauliString]:
     # One-to-two mapping: site j carries modes 2j and 2j+1, with a Z string
     # on all earlier sites enforcing anticommutation across sites.
     strings = []
     for j in range(s):
-        tail = PauliString()
+        tail = _PauliString()
         for k in range(j):
             tail = tail * _pauli(s, k, 3)
         strings.append(tail * _pauli(s, j, 1))
@@ -218,7 +210,7 @@ def jordan_wigner_majoranas(s: int) -> list[np.ndarray]:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    return [p.matrix(s) for p in _majorana_strings(s)]
+    return [_PauliTable.from_strings(s, [p]).matrix(np.ones(1)) for p in _majorana_strings(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +265,8 @@ def _syk_table(s: int) -> _PauliTable:
 # ---------------------------------------------------------------------------
 # Hamiltonian builders.  Each takes its random inputs explicitly so tests
 # can pin them, and contracts its table with the coefficients that a private
-# layout puts in the table's term order; _coefficients draws the same inputs
-# from a stream in a fixed order and returns the layout.
+# layout puts in the table's term order; each family's record below draws the
+# same inputs from a stream, rotations first, in the builder's argument order.
 # ---------------------------------------------------------------------------
 
 
@@ -303,7 +295,7 @@ def _ising_layout(J, rotations_x, rotations_y, g) -> np.ndarray:
     return np.concatenate([_bonds(n1, n1), fields], axis=1).ravel()
 
 
-def _xxz_layout(B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
+def _xxz_layout(J, B, rotations_x, rotations_y, g, h) -> np.ndarray:
     rx = np.asarray(rotations_x, dtype=float)
     n3 = np.asarray(rotations_y, dtype=float)[:, 2]
     jg = (J * np.asarray(g, dtype=float))[:, None]
@@ -353,7 +345,7 @@ def xxz_hamiltonian(s, B, J, rotation, g, h) -> np.ndarray:
 @_OVERFLOW_TO_INF
 def dxxz_hamiltonian(s, B, J, rotations_x, rotations_y, g, h) -> np.ndarray:
     """Disordered twin of the XXZ chain: per-site frames, scalars g_j, h_j."""
-    return _finite_matrix(_chain_table(s), _xxz_layout(B, J, rotations_x, rotations_y, g, h))
+    return _finite_matrix(_chain_table(s), _xxz_layout(J, B, rotations_x, rotations_y, g, h))
 
 
 @_OVERFLOW_TO_INF
@@ -384,6 +376,58 @@ def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
     return _finite_matrix(_syk_table(s), J2 * np.asarray(couplings, dtype=float))
 
 
+class _Family(NamedTuple):
+    """One spin family, which reads ``couplings`` (1 by default) and draws on ``table(spec)``."""
+
+    couplings: tuple[str, ...]
+    min_spins: tuple[int, int]  # the fewest spins in A and in all
+    too_small: str  # the ValueError text below them, after the family name
+    table: Callable[[ModelSpec], _PauliTable]
+    draw: Callable[[ModelSpec, np.random.Generator], np.ndarray]  # one coefficient vector
+
+
+def _chain(couplings, draw) -> _Family:
+    # periodic chains: on one spin the bond j -> j+1 would be an on-site product
+    return _Family(couplings, (0, 2), "chain needs at least 2 spins",
+                   lambda spec: _chain_table(spec.n_spins), draw)
+
+
+def _framed(layout, couplings, per_site: bool) -> _Family:
+    # DTFIM and DXXZ draw s bond frames, s field frames and s scalars per coupling; TFIM
+    # and XXZ draw one frame and one scalar per coupling and repeat that site on every site
+    def draw(spec, gen):
+        n = spec.n_spins if per_site else 1
+        rx = [sample_so3(gen) for _ in range(n)]
+        ry = [sample_so3(gen) for _ in range(n)] if per_site else rx
+        scalars = [gen.normal(size=n) for _ in couplings]
+        return np.tile(layout(*map(spec.coupling, couplings), rx, ry, *scalars), spec.n_spins // n)
+
+    return _chain(couplings, draw)
+
+
+_SPIN = {
+    "TFIM": _framed(_ising_layout, ("J",), per_site=False),
+    "DTFIM": _framed(_ising_layout, ("J",), per_site=True),
+    "XXZ": _framed(_xxz_layout, ("J", "B"), per_site=False),
+    "DXXZ": _framed(_xxz_layout, ("J", "B"), per_site=True),
+    "SYK": _Family(("J2",), (0, 2), "needs at least 2 spins (4 Majorana modes)",
+                   lambda spec: _syk_table(spec.n_spins), lambda spec, gen: (
+                       spec.coupling("J2") * gen.normal(size=comb(2 * spec.n_spins, 4)))),
+    "SG": _chain(("J1", "J2", "J3"), lambda spec, gen: _sg_layout(
+        *map(spec.coupling, ("J1", "J2", "J3")), gen.normal(size=3), gen.normal(size=(3, 3)),
+        gen.normal(size=(spec.n_spins, 3, 3)), gen.normal(size=3),
+        gen.normal(size=(spec.n_spins, 3)))),
+    "CS": _Family(("B", "J"), (1, 1), "needs at least one central spin",
+                  lambda spec: _cs_table(spec.s_a, spec.s_b), lambda spec, gen: _cs_layout(
+                      *map(spec.coupling, ("B", "J")), gen.normal(size=spec.s_a),
+                      gen.normal(size=(spec.s_a, spec.s_a, 3)),
+                      gen.normal(size=(spec.s_a, spec.s_b, 3)))),
+}
+SPIN_FAMILIES = tuple(_SPIN)  # the distance default order, which fixes its streams
+FAMILIES = SPIN_FAMILIES + ("GUE", "POISSON")
+COUPLINGS = {name: family.couplings for name, family in _SPIN.items()} | {"GUE": (), "POISSON": ()}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Reproducible description of one Hamiltonian ensemble.
@@ -405,18 +449,12 @@ class ModelSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.d_a < 1 or self.d_b < 1:
             raise ValueError("subsystem dimensions must be >= 1")
-        if self.family in SPIN_FAMILIES:
+        if (family := _SPIN.get(self.family)) is not None:
             for dim in (self.d_a, self.d_b):
                 if dim & (dim - 1):
-                    raise ValueError(
-                        f"{self.family} needs power-of-two dimensions, got {dim}"
-                    )
-            if self.family == "SYK" and self.n_spins < 2:
-                raise ValueError("SYK needs at least 2 spins (4 Majorana modes)")
-            if self.family in _CHAIN_FAMILIES and self.n_spins < 2:
-                raise ValueError(f"{self.family} chain needs at least 2 spins")
-            if self.family == "CS" and self.s_a < 1:
-                raise ValueError("CS needs at least one central spin")
+                    raise ValueError(f"{self.family} needs power-of-two dimensions, got {dim}")
+            if self.s_a < family.min_spins[0] or self.n_spins < family.min_spins[1]:
+                raise ValueError(f"{self.family} {family.too_small}")
         for name, value in self.couplings.items():
             if not isfinite(float(value)):
                 raise ValueError(f"coupling {name} must be finite, got {value}")
@@ -446,43 +484,9 @@ class ModelSpec:
         return float(self.couplings.get(name, default))
 
 
-# The couplings each family reads, by ModelSpec name; each defaults to 1.
-COUPLINGS = {
-    "TFIM": ("J",), "DTFIM": ("J",), "XXZ": ("J", "B"), "DXXZ": ("J", "B"),
-    "SG": ("J1", "J2", "J3"), "CS": ("B", "J"), "SYK": ("J2",), "GUE": (), "POISSON": (),
-}
-
-
 @_OVERFLOW_TO_INF
 def _coefficients(spec: ModelSpec, gen) -> np.ndarray:
-    # One spin sample: its coefficient vector on _table(spec).  The inputs
-    # are drawn from ``gen`` in a fixed documented order: the rotations
-    # first (one global frame for TFIM and XXZ; for DTFIM and DXXZ one per
-    # site for the bonds, then one per site for the fields), then the scalar
-    # coupling blocks in the order of the public builder's arguments.
-    fam, s, c = spec.family, spec.n_spins, spec.coupling
-    n_scalars = 1 + fam.endswith("XXZ")
-    if fam in ("TFIM", "XXZ"):
-        rx = ry = [sample_so3(gen)] * s
-        scalars = [np.full(s, gen.normal()) for _ in range(n_scalars)]
-    elif fam in ("DTFIM", "DXXZ"):
-        rx = [sample_so3(gen) for _ in range(s)]
-        ry = [sample_so3(gen) for _ in range(s)]
-        scalars = [gen.normal(size=s) for _ in range(n_scalars)]
-    if fam in ("TFIM", "DTFIM"):
-        return _ising_layout(c("J"), rx, ry, *scalars)
-    if fam in ("XXZ", "DXXZ"):
-        return _xxz_layout(c("B"), c("J"), rx, ry, *scalars)
-    if fam == "SG":
-        return _sg_layout(c("J1"), c("J2"), c("J3"), gen.normal(size=3), gen.normal(size=(3, 3)),
-                          gen.normal(size=(s, 3, 3)), gen.normal(size=3), gen.normal(size=(s, 3)))
-    if fam == "CS":
-        s_a = spec.s_a
-        return _cs_layout(c("B"), c("J"), gen.normal(size=s_a), gen.normal(size=(s_a, s_a, 3)),
-                          gen.normal(size=(s_a, spec.s_b, 3)))
-    if fam == "SYK":
-        return c("J2") * gen.normal(size=comb(2 * s, 4))
-    raise AssertionError(fam)
+    return _SPIN[spec.family].draw(spec, gen)
 
 
 def build_model(spec: ModelSpec, rng) -> np.ndarray:
@@ -509,16 +513,7 @@ def make_sampler(spec: ModelSpec):
 
 
 def _table(spec: ModelSpec) -> _PauliTable | None:
-    # The Pauli-string table the family's builder contracts; None for the
-    # dense GUE and POISSON ensembles.
-    fam, s = spec.family, spec.n_spins
-    if fam in _CHAIN_FAMILIES:
-        return _chain_table(s)
-    if fam == "CS":
-        return _cs_table(spec.s_a, spec.s_b)
-    if fam == "SYK":
-        return _syk_table(s)
-    return None
+    return _SPIN[spec.family].table(spec) if spec.family in _SPIN else None
 
 
 def _sectors(spec: ModelSpec) -> np.ndarray | None:
@@ -615,8 +610,11 @@ def level_spectra(spec: ModelSpec, H) -> list[np.ndarray]:
     same levels, and one is kept; for 4 every level of a sector is a
     Kramers pair, and one level of each pair is kept.  A degeneracy that
     does not hold to roundoff raises NumericalError, as does a non-finite
-    H.  Other families give their whole spectrum.
+    H.  Other families give their whole spectrum.  An H of any shape but
+    (d, d) raises ValueError.
     """
+    if np.shape(H) != (spec.d, spec.d):
+        raise ValueError(f"H must be {spec.d}x{spec.d} for {spec}, got shape {np.shape(H)}")
     if not np.isfinite(H).all():
         raise NumericalError("non-finite Hamiltonian in the level spectra")
     sectors = _sectors(spec)

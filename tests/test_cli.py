@@ -417,6 +417,13 @@ class TestSelfcheck:
 
 
 class TestConfigFile:
+    def test_one_flag_per_coupling(self):
+        # every coupling some family reads has one flag, and no flag is stray
+        from guedyn.cli import _COUPLING_FLAGS
+
+        read = {name for names in models.COUPLINGS.values() for name in names}
+        assert sorted(_COUPLING_FLAGS) == sorted(read)
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": [4], "t-max": 2.0, "dt": 1.0}))

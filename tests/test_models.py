@@ -496,6 +496,51 @@ class TestChainTable:
                                       reference.matrix(coeffs))
 
 
+def _public_build(spec, gen):
+    # the family's public builder fed its inputs drawn from gen in the
+    # documented order: rotations first, then the scalar coupling blocks in
+    # the order of the builder's arguments
+    from guedyn.sim import sample_so3
+
+    s, s_a, s_b, c = spec.n_spins, spec.s_a, spec.s_b, spec.coupling
+    fam = spec.family
+    if fam == "TFIM":
+        return tfim_hamiltonian(s, c("J"), sample_so3(gen), gen.normal())
+    if fam == "XXZ":
+        return xxz_hamiltonian(s, c("B"), c("J"), sample_so3(gen), gen.normal(), gen.normal())
+    if fam in ("DTFIM", "DXXZ"):
+        rx = [sample_so3(gen) for _ in range(s)]
+        ry = [sample_so3(gen) for _ in range(s)]
+        if fam == "DTFIM":
+            return dtfim_hamiltonian(s, c("J"), rx, ry, gen.normal(size=s))
+        return dxxz_hamiltonian(s, c("B"), c("J"), rx, ry, gen.normal(size=s), gen.normal(size=s))
+    if fam == "SG":
+        return sg_hamiltonian(s, c("J1"), c("J2"), c("J3"), gen.normal(size=3),
+                              gen.normal(size=(3, 3)), gen.normal(size=(s, 3, 3)),
+                              gen.normal(size=3), gen.normal(size=(s, 3)))
+    if fam == "CS":
+        return cs_hamiltonian(s_a, s_b, c("B"), c("J"), gen.normal(size=s_a),
+                              gen.normal(size=(s_a, s_a, 3)), gen.normal(size=(s_a, s_b, 3)))
+    if fam == "SYK":
+        return syk_hamiltonian(s, c("J2"), gen.normal(size=comb(2 * s, 4)))
+    raise AssertionError(fam)
+
+
+class TestDrawOrder:
+    """build_model draws a family's inputs in the documented order and
+    contracts them as its public builder does, to the last bit."""
+
+    @pytest.mark.parametrize("family", SPIN_FAMILIES)
+    @pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 4), (4, 8)])
+    def test_build_model_is_the_public_builder(self, family, d_a, d_b):
+        values = {"J": 0.3, "B": -1.7, "J1": 0.6, "J2": -0.4, "J3": 1.3}
+        for couplings in ({}, {name: values[name] for name in COUPLINGS[family]}):
+            spec = ModelSpec(family, d_a, d_b, couplings)
+            for i in range(3):
+                want = _public_build(spec, RngStream(82, i).generator())
+                assert np.array_equal(build_model(spec, RngStream(82, i)), want)
+
+
 class TestPilotPass:
     times = np.linspace(0.0, 6.0, 7)
 
@@ -543,7 +588,7 @@ class TestPilotPass:
         ensemble_dynamics(ModelSpec(family, 2, 4), self.times, 5, RngStream(64), threads=2)
         assert len(calls) == 5
 
-    @pytest.mark.parametrize("family", ["SYK", "XXZ"])
+    @pytest.mark.parametrize("family", SPIN_FAMILIES)
     def test_thread_count_invariance(self, family):
         spec = ModelSpec(family, 2, 4)
         one = ensemble_dynamics(spec, self.times, 8, RngStream(61), threads=1)
@@ -778,6 +823,19 @@ class TestLevelSpectra:
         h[np.ix_(even, even)], h[np.ix_(odd, odd)] = blocks
         with pytest.raises(NumericalError):
             models.level_spectra(spec, h)
+
+    @pytest.mark.parametrize("family, d_a, d_b, shape", [
+        ("GUE", 2, 2, (3, 3)),
+        ("SYK", 2, 4, (16, 16)),  # used to give the levels of sub-blocks
+        ("SYK", 2, 4, (4, 4)),    # used to raise a bare IndexError
+        ("TFIM", 2, 4, (8, 4)),
+    ])
+    def test_wrong_size_h_raises(self, family, d_a, d_b, shape):
+        from guedyn import models
+
+        d = d_a * d_b
+        with pytest.raises(ValueError, match=f"H must be {d}x{d}"):
+            models.level_spectra(ModelSpec(family, d_a, d_b), np.eye(*shape))
 
     @pytest.mark.parametrize("family", ["TFIM", "SYK"])
     def test_non_finite_h_raises(self, family):
