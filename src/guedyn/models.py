@@ -20,7 +20,12 @@ coefficients per (x, z), takes a Walsh-Hadamard transform over z for each
 distinct x and writes each x group with one indexed store, so H is
 exactly Hermitian.  A table whose every x mask has even weight conserves the
 parity prod_j Z_j (SYK and CS): its H is block diagonal in the even and odd
-sectors, which the Monte Carlo and the spacing statistics use.
+sectors, which the Monte Carlo and the spacing statistics use.  TFIM and XXZ
+have one global rotation R: H = W H_0 W^dag with W = u(R)^{x s}, u(R) the
+SU(2) lift of R, and H_0 the real chain of R's frame, which conserves the
+parity (TFIM) or the magnetisation sum_j Z_j (XXZ).  The Monte Carlo
+diagonalises H_0 per sector and applies W as its two factors on A and B;
+the spacing statistics, which see H alone, take its whole spectrum.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isfinite, log2
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,6 +49,7 @@ from .sim import (
     _checked_times,
     _haar_unitaries,
     _hermitian,
+    _left,
     _restarted,
     _run_blocks,
     mc_average,
@@ -376,6 +383,20 @@ def syk_hamiltonian(s, J2, couplings) -> np.ndarray:
     return _finite_matrix(_syk_table(s), J2 * np.asarray(couplings, dtype=float))
 
 
+class _Frame(NamedTuple):
+    """One global rotation R, shared by every site (TFIM, XXZ).
+
+    A sample's row is R's nine entries, row-major, then one scalar per
+    coupling, in draw order.  ``chain(spec, row, frame)`` lays the row's
+    scalars out in ``frame`` (R for H, the identity for H_0 by default), and
+    H = W H_0 W^dag with W = u(R)^{x s}, u(R) the SU(2) lift of R.  H_0 is
+    real and zero between the index sets ``sectors(s)``.
+    """
+
+    chain: Callable[..., np.ndarray]
+    sectors: Callable[[int], tuple[np.ndarray, ...]]
+
+
 class _Family(NamedTuple):
     """One spin family, which reads ``couplings`` (1 by default) and draws on ``table(spec)``."""
 
@@ -384,32 +405,56 @@ class _Family(NamedTuple):
     too_small: str  # the ValueError text below them, after the family name
     table: Callable[[ModelSpec], _PauliTable]
     draw: Callable[[ModelSpec, np.random.Generator], np.ndarray]  # one coefficient vector
+    frame: _Frame | None = None
 
 
-def _chain(couplings, draw) -> _Family:
+def _chain(couplings, draw, frame=None) -> _Family:
     # periodic chains: on one spin the bond j -> j+1 would be an on-site product
     return _Family(couplings, (0, 2), "chain needs at least 2 spins",
-                   lambda spec: _chain_table(spec.n_spins), draw)
+                   lambda spec: _chain_table(spec.n_spins), draw, frame)
 
 
-def _framed(layout, couplings, per_site: bool) -> _Family:
-    # DTFIM and DXXZ draw s bond frames, s field frames and s scalars per coupling; TFIM
-    # and XXZ draw one frame and one scalar per coupling and repeat that site on every site
+def _disordered(layout, couplings) -> _Family:
+    # DTFIM and DXXZ draw s bond frames, s field frames and s scalars per coupling
     def draw(spec, gen):
-        n = spec.n_spins if per_site else 1
-        rx = [sample_so3(gen) for _ in range(n)]
-        ry = [sample_so3(gen) for _ in range(n)] if per_site else rx
-        scalars = [gen.normal(size=n) for _ in couplings]
-        return np.tile(layout(*map(spec.coupling, couplings), rx, ry, *scalars), spec.n_spins // n)
+        s = spec.n_spins
+        rx = [sample_so3(gen) for _ in range(s)]
+        ry = [sample_so3(gen) for _ in range(s)]
+        scalars = [gen.normal(size=s) for _ in couplings]
+        return layout(*map(spec.coupling, couplings), rx, ry, *scalars)
 
     return _chain(couplings, draw)
 
 
+def _read_frame(gen, row) -> None:
+    # a global-frame sample's draws: R, then one standard normal per coupling
+    row[:9] = sample_so3(gen).ravel()
+    gen.standard_normal(out=row[9:])
+
+
+def _framed(layout, couplings, sectors) -> _Family:
+    # TFIM and XXZ draw one frame and one scalar per coupling and repeat that
+    # site on every site of the chain table's 12-term rows
+    def chain(spec, row, frame=np.eye(3)):
+        site = layout(*map(spec.coupling, couplings), [frame], [frame], *row[9:, None])
+        return np.tile(site, spec.n_spins)
+
+    def draw(spec, gen):
+        row = np.empty(9 + len(couplings))
+        _read_frame(gen, row)
+        return chain(spec, row, row[:9].reshape(3, 3))
+
+    return _chain(couplings, draw, _Frame(chain, sectors))
+
+
 _SPIN = {
-    "TFIM": _framed(_ising_layout, ("J",), per_site=False),
-    "DTFIM": _framed(_ising_layout, ("J",), per_site=True),
-    "XXZ": _framed(_xxz_layout, ("J", "B"), per_site=False),
-    "DXXZ": _framed(_xxz_layout, ("J", "B"), per_site=True),
+    # TFIM's H_0 = sum_j X_j X_j+1 + J g Z_j conserves the parity prod_j Z_j,
+    # XXZ's sum_j X_j X_j+1 + Y_j Y_j+1 + J g Z_j Z_j+1 + B h Z_j the
+    # magnetisation sum_j Z_j
+    "TFIM": _framed(_ising_layout, ("J",), lambda s: _bit_sectors(s, 2)),
+    "DTFIM": _disordered(_ising_layout, ("J",)),
+    "XXZ": _framed(_xxz_layout, ("J", "B"), lambda s: _bit_sectors(s, s + 1)),
+    "DXXZ": _disordered(_xxz_layout, ("J", "B")),
     "SYK": _Family(("J2",), (0, 2), "needs at least 2 spins (4 Majorana modes)",
                    lambda spec: _syk_table(spec.n_spins), lambda spec, gen: (
                        spec.coupling("J2") * gen.normal(size=comb(2 * spec.n_spins, 4)))),
@@ -432,8 +477,9 @@ COUPLINGS = {name: family.couplings for name, family in _SPIN.items()} | {"GUE":
 class ModelSpec:
     """Reproducible description of one Hamiltonian ensemble.
 
-    ``d_a`` and ``d_b`` are the subsystem dimensions; spin families require
-    both to be powers of two (s_a = log2 d_a spins belong to A).  The chain
+    ``d_a`` and ``d_b`` are the subsystem dimensions, integers (a bool or
+    any other type raises ValueError); spin families require both to be
+    powers of two (s_a = log2 d_a spins belong to A).  The chain
     families and SYK need at least two spins, CS at least one central spin.
     Every coupling must be finite and one the family reads
     (``COUPLINGS[family]``); any other name raises ValueError.
@@ -447,6 +493,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for dim in (self.d_a, self.d_b):
+            # bool is an int subclass, and True is no dimension
+            if isinstance(dim, bool) or not isinstance(dim, Integral):
+                raise ValueError(f"subsystem dimensions must be integers, got {dim!r}")
         if self.d_a < 1 or self.d_b < 1:
             raise ValueError("subsystem dimensions must be >= 1")
         if (family := _SPIN.get(self.family)) is not None:
@@ -518,7 +568,7 @@ def _table(spec: ModelSpec) -> _PauliTable | None:
 
 def _sectors(spec: ModelSpec) -> np.ndarray | None:
     # The parity sectors of the family's H where its table conserves
-    # prod_j Z_j, else None.
+    # prod_j Z_j, else None.  A frame's sectors are those of H_0, not of H.
     table = _table(spec)
     if table is None or not table.conserves_parity:
         return None
@@ -526,12 +576,22 @@ def _sectors(spec: ModelSpec) -> np.ndarray | None:
 
 
 @lru_cache(maxsize=None)
-def _parity_sectors(s: int) -> np.ndarray:
-    # (2, 2^(s-1)): the basis states of even, then odd, parity prod_j Z_j
-    # (even, odd number of set bits), each ascending.
+def _bit_sectors(s: int, modulus: int) -> tuple[np.ndarray, ...]:
+    # The basis states of s spins by their number of set bits mod
+    # ``modulus``, from 0, each ascending: 2 gives the sectors of the parity
+    # prod_j Z_j (even, odd), s + 1 those of the magnetisation sum_j Z_j.
     states = np.arange(1 << s)
-    odd = np.bitwise_count(states) & 1
-    sectors = np.stack([states[odd == 0], states[odd == 1]])
+    bits = np.bitwise_count(states) % modulus
+    sectors = tuple(states[bits == k] for k in range(modulus))
+    for sector in sectors:
+        sector.flags.writeable = False
+    return sectors
+
+
+@lru_cache(maxsize=None)
+def _parity_sectors(s: int) -> np.ndarray:
+    # (2, 2^(s-1)): the basis states of even, then odd, parity prod_j Z_j.
+    sectors = np.stack(_bit_sectors(s, 2))
     sectors.flags.writeable = False
     return sectors
 
@@ -541,16 +601,95 @@ def _sector_blocks(H, sectors) -> np.ndarray:
     return H[sectors[:, :, None], sectors[:, None, :]]
 
 
+def _by_size(sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+    # The index sets ``sectors`` stacked by size: per size, the (k, m) states
+    # of its k sectors and the (k, m) basis columns of their vectors, which
+    # follow the sectors' order.
+    groups = {}
+    start = 0
+    for sector in sectors:
+        states, cols = groups.setdefault(len(sector), ([], []))
+        states.append(sector)
+        cols.append(np.arange(start, start + len(sector)))
+        start += len(sector)
+    return [(np.stack(states), np.stack(cols)) for states, cols in groups.values()]
+
+
+def _kron_power(u, k: int) -> np.ndarray:
+    # u^{x k} for an (n, 2, 2) stack, site 0 the highest bit: (n, 2^k, 2^k)
+    out = np.ones((len(u), 1, 1), dtype=u.dtype)
+    for _ in range(k):
+        m = out.shape[-1]
+        out = (out[:, :, None, :, None] * u[:, None, :, None, :]).reshape(len(u), 2 * m, 2 * m)
+    return out
+
+
+def _su2_lifts(rotations) -> np.ndarray:
+    # The (n, 2, 2) unitaries u = w - i (x X + y Y + z Z), one per rotation R
+    # of the (n, 3, 3) stack, with u sigma_a u^dag = sum_b R[a, b] sigma_b.
+    # The unit quaternion (w, x, y, z) is the row of 4 q q^T with the largest
+    # diagonal entry, scaled (Shepperd, J. Guidance Control 1, 223 (1978)),
+    # so no square root of a small number is taken near a rotation by pi.
+    r = np.asarray(rotations, dtype=float)
+    tr = np.trace(r, axis1=-2, axis2=-1)[:, None, None]
+    k = np.empty((len(r), 4, 4))
+    k[:, :1, :1] = 1 + tr
+    k[:, 0, 1:] = k[:, 1:, 0] = r[:, [1, 2, 0], [2, 0, 1]] - r[:, [2, 0, 1], [1, 2, 0]]
+    k[:, 1:, 1:] = r + r.swapaxes(-1, -2) + (1 - tr) * np.eye(3)
+    n = np.arange(len(r))
+    big = np.argmax(np.diagonal(k, axis1=-2, axis2=-1), axis=-1)
+    w, x, y, z = (k[n, big] / (2 * np.sqrt(k[n, big, big]))[:, None]).T
+    return np.stack([np.stack([w - 1j * z, -1j * x - y], -1),
+                     np.stack([-1j * x + y, w + 1j * z], -1)], -2)
+
+
+def _sector_finish(spec: ModelSpec, sectors, matrix, lifts=None):
+    # A finish that diagonalises each sample per sector: ``matrix(row)`` is
+    # the sample's (d, d) matrix, zero between the index sets ``sectors``,
+    # whose diagonal blocks are cut out one sample at a time, so that one
+    # dense matrix is held at a time (at 8x32, 3 MB less peak memory over
+    # two worker threads).  One eigh per
+    # sector size runs on the block's stacked blocks, and the vectors are
+    # scattered into V, sector after sector.  With ``lifts(rows)``, the
+    # (n, 2, 2) SU(2) lifts u of the samples' frames, the bases are
+    # (u_A x u_B) V, u_A = u^{x s_a} and u_B = u^{x s_b}: two Kronecker
+    # factors, not a dense W.
+    groups = _by_size(sectors)
+    d, d_a = spec.d, spec.d_a
+
+    def finish(rows):
+        blocks = [[] for _ in groups]
+        for row in rows:
+            h = matrix(row)
+            for stack, (states, _) in zip(blocks, groups):
+                stack.append(h[states[:, :, None], states[:, None, :]])
+        n = len(rows)
+        energies = np.empty((n, d))
+        bases = np.zeros((n, d, d), dtype=h.dtype)
+        for stack, (states, cols) in zip(blocks, groups):
+            energies[:, cols], bases[:, states[:, :, None], cols[:, None, :]] = np.linalg.eigh(
+                np.stack(stack))
+        if lifts is None:
+            return energies, bases
+        u = lifts(rows)
+        bases = _kron_power(u, spec.s_b)[:, None] @ bases.reshape(n, d_a, -1, d)
+        return energies, _left(bases.reshape(n, d, d), _kron_power(u, spec.s_a))
+
+    return finish
+
+
 def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
     # Sampler for mc_average, read per stream into a row and finished per
     # block as one kind: the block's (energies, bases) where that costs less
     # than a dense eigh, else its (None, H) stack, which the kernel
     # diagonalises.  GUE reads its 2 d^2 normals and assembles the block's
     # H; POISSON hands over its draw.  A spin family reads its coefficient
-    # vector and assembles each H from the table.  A table that conserves
-    # parity has a zero even-odd block, so the block's samples are
-    # diagonalised as their parity blocks (one stacked eigh) and the block
-    # eigenvectors are scattered into the full bases.
+    # vector and assembles each H from the table; a table that conserves
+    # parity (SYK, CS) has a zero even-odd block, so its samples are
+    # diagonalised per parity sector.  A family with one global frame (TFIM,
+    # XXZ) reads R and its scalars, assembles the real H_0 of its frame and
+    # diagonalises it per sector of H_0, and the frame turns those vectors
+    # into H's.
     d = spec.d
     if spec.family == "GUE":
         def finish(rows):
@@ -560,24 +699,21 @@ def _spectral_sampler(spec: ModelSpec) -> _BlockSampler:
         return _BlockSampler(2 * d * d, lambda gen, row: gen.standard_normal(out=row), finish)
     if spec.family == "POISSON":
         return _poisson_sampler(d)
-    table, sectors = _table(spec), _sectors(spec)
+    family, table = _SPIN[spec.family], _table(spec)
+    if (frame := family.frame) is not None:
+        return _BlockSampler(9 + len(family.couplings), _read_frame, _sector_finish(
+            spec, frame.sectors(spec.n_spins),
+            lambda row: table.matrix(frame.chain(spec, row)).real,
+            lambda rows: _su2_lifts(rows[:, :9].reshape(-1, 3, 3))))
 
     def read(gen, row):
         row[:] = _coefficients(spec, gen)
 
+    sectors = _sectors(spec)
     if sectors is None:
         return _BlockSampler(table.z.size, read,
                              lambda rows: (None, np.stack([table.matrix(c) for c in rows])))
-    cols = np.arange(d).reshape(2, 1, d // 2)
-
-    def finish(rows):
-        blocks = np.stack([_sector_blocks(table.matrix(c), sectors) for c in rows])
-        energies, vectors = np.linalg.eigh(blocks)
-        basis = np.zeros((len(rows), d, d), dtype=complex)
-        basis[:, sectors[:, :, None], cols] = vectors
-        return energies.reshape(-1, d), basis
-
-    return _BlockSampler(table.z.size, read, finish)
+    return _BlockSampler(table.z.size, read, _sector_finish(spec, sectors, table.matrix))
 
 
 def _poisson_sampler(d: int) -> _BlockSampler:
@@ -746,9 +882,12 @@ def ensemble_dynamics(
     pilot and the Monte Carlo run on up to ``threads`` worker threads under
     one OpenBLAS thread, as :func:`guedyn.sim.mc_average` documents.  The
     Monte Carlo hands a POISSON sample over as its drawn levels and Haar
-    basis, and diagonalises an SYK or CS sample per parity sector; the other
-    families' samples are diagonalised whole.  ``times`` is checked as
-    :func:`guedyn.sim.mc_average` checks it, before the pilot.
+    basis, diagonalises an SYK or CS sample per parity sector, and a TFIM or
+    XXZ sample per sector of the real chain H_0 in the frame of its rotation
+    (parity for TFIM, magnetisation for XXZ), whose bases the frame then
+    rotates; GUE, DTFIM, DXXZ and SG samples are diagonalised whole.
+    ``times`` is checked as :func:`guedyn.sim.mc_average` checks it, before
+    the pilot.
     """
     times = _checked_times(times)
     scale = 1.0

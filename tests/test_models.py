@@ -167,6 +167,23 @@ class TestBuilders:
             ModelSpec("CS", 1, 4)  # no central spin
         ModelSpec("GUE", 3, 5)  # arbitrary dimensions allowed
 
+    @pytest.mark.parametrize("family, d_a, d_b", [
+        ("GUE", 2.5, 2),   # used to die in build_model with a bare TypeError
+        ("TFIM", 2.0, 4),  # used to raise TypeError in the power-of-two check
+        ("TFIM", True, 4),  # used to be accepted as d_a = 1
+        ("GUE", 2, "4"),
+        ("SYK", 2, None),
+    ])
+    def test_non_integer_dimension_rejected(self, family, d_a, d_b):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            ModelSpec(family, d_a, d_b)
+
+    @pytest.mark.parametrize("family", ["GUE", "TFIM"])
+    def test_numpy_integer_dimensions_accepted(self, family):
+        spec = ModelSpec(family, np.int64(2), np.int32(4))
+        assert np.array_equal(build_model(spec, RngStream(45, 0)),
+                              build_model(ModelSpec(family, 2, 4), RngStream(45, 0)))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coupling_rejected(self, value):
         with pytest.raises(ValueError, match="coupling J must be finite"):
@@ -624,7 +641,8 @@ class TestPilotPass:
 
 
 class TestParitySectors:
-    """SYK and CS commute with prod_j Z_j and are diagonalised per sector."""
+    """SYK and CS commute with prod_j Z_j and are diagonalised per sector;
+    TFIM and XXZ are diagonalised per sector of their frame's H_0."""
 
     times = np.linspace(0.0, 6.0, 31)
 
@@ -652,11 +670,15 @@ class TestParitySectors:
                                        ("CS", 2, 4, True), ("CS", 4, 8, True),
                                        ("XXZ", 2, 4, False), ("TFIM", 2, 4, False),
                                        ("SG", 2, 4, False), ("DXXZ", 4, 8, False)]:
-            assert models._table(ModelSpec(family, d_a, d_b)).conserves_parity is want
+            spec = ModelSpec(family, d_a, d_b)
+            assert models._table(spec).conserves_parity is want
+            # the sectors of H: a frame's sectors belong to its H_0
+            assert (models._sectors(spec) is not None) is want
         assert models._table(ModelSpec("GUE", 2, 2)) is None
 
     @pytest.mark.parametrize("family, d_a, d_b", [("SYK", 2, 4), ("SYK", 4, 8), ("CS", 2, 1),
-                                                  ("CS", 4, 8)])
+                                                  ("CS", 4, 8), ("TFIM", 1, 4), ("TFIM", 2, 4),
+                                                  ("XXZ", 4, 1), ("XXZ", 2, 4), ("XXZ", 4, 8)])
     def test_sector_sample_rebuilds_h(self, family, d_a, d_b):
         from guedyn import models
 
@@ -678,7 +700,8 @@ class TestParitySectors:
                               build_model(spec, RngStream(92, 0)))
 
     @pytest.mark.parametrize("family, d_a, d_b", [("POISSON", 2, 4), ("SYK", 2, 4),
-                                                  ("SYK", 4, 8), ("CS", 2, 4)])
+                                                  ("SYK", 4, 8), ("CS", 2, 4), ("TFIM", 2, 4),
+                                                  ("XXZ", 2, 4), ("XXZ", 4, 8)])
     @pytest.mark.parametrize("scramble", [False, True])
     def test_matches_the_dense_sampler(self, family, d_a, d_b, scramble):
         spec = ModelSpec(family, d_a, d_b)
@@ -702,7 +725,7 @@ class TestParitySectors:
         energies, mats = sampler.finish(rows)
         one = sampler(RngStream(95, 0).generator())
         assert mats.shape == (3, spec.d, spec.d)
-        if family in ("POISSON", "SYK", "CS"):
+        if family in ("POISSON", "SYK", "CS", "TFIM", "XXZ"):
             assert energies.shape == (3, spec.d)
             assert np.array_equal(one[0], energies[0]) and np.array_equal(one[1], mats[0])
         else:
@@ -722,7 +745,7 @@ class TestParitySectors:
         path = os.path.join(os.path.dirname(__file__), "data", "mc_dense_reference.npz")
         ref = np.load(path)
         exact = str(ref["numpy"]) == np.__version__ and str(ref["blas"]) == _blas_config()
-        for family, d_a, d_b in (("GUE", 2, 2), ("XXZ", 2, 4)):
+        for family, d_a, d_b in (("GUE", 2, 2),):
             for scramble in (False, True):
                 got = ensemble_dynamics(ModelSpec(family, d_a, d_b), self.times, 20,
                                         RngStream(71), threads=2, scramble=scramble)
@@ -737,14 +760,16 @@ class TestParitySectors:
         # Written by the kernel that transforms a block's (energies, basis)
         # samples on stacks (Haar basis, scramble, psi_A's completion and
         # the frame rotation) and takes the phases of its uniform grid as
-        # blocked products, as above.  Exact under the numpy and OpenBLAS
-        # build that wrote it, else to 1e-13, as above.
+        # blocked products, as above; TFIM and XXZ from the bases of their
+        # frame's H_0, rotated by the frame.  Exact under the numpy and
+        # OpenBLAS build that wrote it, else to 1e-13, as above.
         import os
 
         path = os.path.join(os.path.dirname(__file__), "data", "mc_pair_reference.npz")
         ref = np.load(path)
         exact = str(ref["numpy"]) == np.__version__ and str(ref["blas"]) == _blas_config()
-        for family, d_a, d_b in (("POISSON", 2, 2), ("SYK", 2, 4), ("CS", 2, 4)):
+        for family, d_a, d_b in (("POISSON", 2, 2), ("SYK", 2, 4), ("CS", 2, 4), ("TFIM", 2, 4),
+                                 ("XXZ", 2, 4)):
             for scramble in (False, True):
                 got = ensemble_dynamics(ModelSpec(family, d_a, d_b), self.times, 20,
                                         RngStream(72), threads=2, scramble=scramble)
@@ -754,6 +779,81 @@ class TestParitySectors:
                         assert np.array_equal(getattr(got, name), want), (family, name)
                     else:
                         assert np.max(np.abs(getattr(got, name) - want)) <= 1e-13
+
+
+class TestFrame:
+    """TFIM and XXZ in the frame of their one rotation R: H = W H_0 W^dag,
+    with W = u(R)^{x s}, and H_0 real and zero between its sectors."""
+
+    @staticmethod
+    def frame_parts(spec, stream):
+        # (R, H_0) of one sample, from the row that the sampler reads
+        from guedyn import models
+
+        sampler = models._spectral_sampler(spec)
+        row = np.empty(sampler.width)
+        sampler.read(stream.generator(), row)
+        chain = models._SPIN[spec.family].frame.chain
+        return row[:9].reshape(3, 3), models._table(spec).matrix(chain(spec, row))
+
+    @staticmethod
+    def near_pi(axis, eps):
+        # Rodrigues: the rotation by pi - eps about ``axis``
+        n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+        k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+        theta = np.pi - eps
+        return np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
+
+    def test_lift_convention(self):
+        # u sigma_a u^dag = sum_b R[a, b] sigma_b, also at and near rotations
+        # by pi, where the quaternion's scalar part w vanishes
+        from guedyn import models
+        from guedyn.sim import sample_so3
+
+        gen = RngStream(97, 0).generator()
+        rotations = [sample_so3(gen) for _ in range(50)]
+        rotations += [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+                      np.diag([-1.0, -1.0, 1.0]), self.near_pi([1.0, 2.0, -0.5], 1e-9),
+                      self.near_pi([0.0, 1.0, 1.0], 0.0)]
+        sigmas = [SIGMA_X, SIGMA_Y, SIGMA_Z]
+        for r, u in zip(rotations, models._su2_lifts(np.array(rotations))):
+            assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-14
+            for a in range(3):
+                want = sum(r[a, b] * sigmas[b] for b in range(3))
+                assert np.abs(u @ sigmas[a] @ u.conj().T - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("family", ["TFIM", "XXZ"])
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_frame_rebuilds_h(self, family, s):
+        import functools
+
+        from guedyn import models
+
+        spec = ModelSpec(family, 2, 1 << (s - 1))
+        for i in range(3):
+            r, h0 = self.frame_parts(spec, RngStream(98, i))
+            w = functools.reduce(np.kron, [models._su2_lifts(r[None])[0]] * s)
+            h = build_model(spec, RngStream(98, i))
+            assert np.linalg.norm(w @ h0 @ w.conj().T - h) <= 1e-13 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("family", ["TFIM", "XXZ"])
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_h0_is_real_and_zero_between_sectors(self, family, s):
+        from guedyn import models
+
+        spec = ModelSpec(family, 2, 1 << (s - 1))
+        sectors = models._SPIN[family].frame.sectors(s)
+        sizes = [comb(s, k) for k in range(s + 1)] if family == "XXZ" else [spec.d // 2] * 2
+        assert [len(sector) for sector in sectors] == sizes
+        label = np.empty(spec.d, dtype=int)
+        for k, sector in enumerate(sectors):
+            label[sector] = k
+        between = label[:, None] != label[None, :]
+        for i in range(3):
+            _, h0 = self.frame_parts(spec, RngStream(99, i))
+            assert not h0.imag.any()
+            assert not h0[between].any()
+            assert h0[~between].any()
 
 
 def _blas_config() -> str:
@@ -791,7 +891,9 @@ class TestLevelSpectra:
         ("SYK", 4, 8, 1, 16),  # N = 10: one of two equal sectors
         ("SYK", 8, 8, 2, 16),  # N = 12: one level per Kramers pair
         ("CS", 4, 8, 2, 16),
-        ("XXZ", 2, 4, 1, 8),
+        ("XXZ", 2, 4, 1, 8),   # a frame's sectors are H_0's, not H's
+        ("XXZ", 4, 8, 1, 32),
+        ("TFIM", 2, 4, 1, 8),
         ("GUE", 2, 3, 1, 6),
     ])
     def test_sequences(self, family, d_a, d_b, n_spectra, size):

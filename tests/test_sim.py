@@ -628,7 +628,8 @@ class TestBlockKernel:
 
     times = np.linspace(0.0, 6.0, 61)
 
-    @pytest.mark.parametrize("family, d_A, d_B", [("GUE", 2, 2), ("POISSON", 2, 2), ("SYK", 2, 4)])
+    @pytest.mark.parametrize("family, d_A, d_B", [("GUE", 2, 2), ("POISSON", 2, 2), ("SYK", 2, 4),
+                                                  ("TFIM", 2, 4), ("XXZ", 4, 8)])
     @pytest.mark.parametrize("scramble", [False, True])
     def test_bit_identical_across_blocks_and_threads(self, monkeypatch, family, d_A, d_B, scramble):
         from guedyn import models, sim
@@ -1027,19 +1028,24 @@ class TestStackedHelpers:
                 gen.normal(size=d_A), gen.normal(size=d_B), gen.normal(size=d_B)]
         assert np.array_equal(row, np.concatenate([w.ravel() for w in want]))
 
-    @pytest.mark.parametrize("family", ["GUE", "POISSON"])
+    @pytest.mark.parametrize("family", ["GUE", "POISSON", "TFIM", "XXZ"])
     def test_sampler_reads_are_the_separate_draws(self, family):
         # GUE: the two normal matrices of sample_gue; POISSON: its scaled
-        # exponential levels, then the normals of its Haar basis
+        # exponential levels, then the normals of its Haar basis; TFIM and
+        # XXZ: their rotation, then one normal per coupling
         from guedyn import models
 
-        d = 6
-        sampler = models._spectral_sampler(models.ModelSpec(family, 2, 3))
+        d = 6 if family in ("GUE", "POISSON") else 8
+        sampler = models._spectral_sampler(models.ModelSpec(family, 2, d // 2))
         stream = RngStream(101, 0)
         row = np.empty(sampler.width)
         sampler.read(stream.generator(), row)
         gen = stream.generator()
-        if family == "GUE":
+        if family in ("TFIM", "XXZ"):
+            rotation = sample_so3(gen)
+            scalars = [gen.normal(size=1) for _ in models.COUPLINGS[family]]
+            assert np.array_equal(row, np.concatenate([rotation.ravel()] + scalars))
+        elif family == "GUE":
             assert np.array_equal(row, gen.normal(0.0, 1.0, 2 * d * d))
             assert np.array_equal(sampler(stream.generator()), sample_gue(d, 1.0, stream))
         else:
